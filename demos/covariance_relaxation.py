@@ -1,8 +1,8 @@
 """Watch the Gaussian state cool in real time and extract the rate from it.
 
-The covariance solver integrates the first and second quadrature moments
-from a hot thermal state, the occupation trace relaxes toward the Lyapunov
-steady state, and an exponential fit of the envelope recovers the cooling
+The covariance solver propagates the first and second quadrature moments
+exactly, by matrix exponentials, from a hot thermal state; the occupation
+trace relaxes toward the Lyapunov steady state, and an exponential fit of the envelope recovers the cooling
 rate.  At weak coupling the fitted rate reproduces the closed-form value;
 at the full 2 MHz drive the decay is visibly oscillatory (beam and circuit
 hybridise) and the fit flags itself.

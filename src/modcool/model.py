@@ -29,6 +29,13 @@ _BOSE_SMALL_X = 1e-6
 _MAX_DISPLACEMENT_RATIO = 0.01
 
 
+def _require_finite(params) -> None:
+    """Reject NaN and infinite values in the numeric fields of a dataclass."""
+    for name, value in vars(params).items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def thermal_occupation(frequency: float, temperature: float) -> float:
     """Mean thermal quantum number of a mode.
 
@@ -102,6 +109,7 @@ class CircuitParams:
     c_b: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("c_x0", "c_sigma0", "inductance", "d0", "delta_x0",
                      "resistance", "t0"):
             value = getattr(self, name)
@@ -143,6 +151,7 @@ class ModeParams:
     bath_occupation: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.frequency <= 0:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
         if self.damping < 0:
@@ -200,6 +209,7 @@ class SystemSpec:
     n_b0: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.omega_a <= 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
         if self.g < 0:

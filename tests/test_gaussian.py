@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from modcool import SystemSpec, analytic, gaussian
 from modcool.gaussian import (
@@ -10,6 +12,7 @@ from modcool.gaussian import (
     CovarianceState,
     FitError,
     StabilityError,
+    Trajectory,
     build_drift,
     evolve,
     fit_cooling_rate,
@@ -206,6 +209,74 @@ def test_evolve_agrees_with_steady_state_on_random_specs():
             assert physicality_margin(state) >= -1e-9
 
 
+def test_evolve_matches_closed_form_on_hurwitz_specs():
+    # For a Hurwitz drift, V(t) = E(t) (V0 - Vinf) E(t)^T + Vinf and
+    # m(t) = E(t) m0 with E(t) = expm(A t).
+    rng = np.random.default_rng(7)
+    count = 0
+    while count < 10:
+        spec = random_spec(rng)
+        model = build_drift(spec)
+        report = stability(model)
+        if not report.hurwitz:
+            continue
+        count += 1
+        v_inf = steady_state(model).covariance
+        start = CovarianceState(
+            mean=rng.normal(size=4),
+            covariance=thermal_state(float(rng.uniform(0, 5)),
+                                     float(rng.uniform(0, 1))).covariance,
+            time=0.0)
+        duration = 5.0 / np.min(np.abs(report.eigenvalues.real))
+        trajectory = evolve(model, start, duration, num_points=40)
+        for t, state in zip(trajectory.times, trajectory.states):
+            e = expm(model.drift * t)
+            v = e @ (start.covariance - v_inf) @ e.T + v_inf
+            assert np.max(np.abs(state.covariance - v)) <= 1e-9
+            assert np.max(np.abs(state.mean - e @ start.mean)) <= 1e-9
+
+
+def test_evolve_matches_reference_integration_for_unstable_drift():
+    # Blue detuning with strong coupling: the drift has an eigenvalue with
+    # positive real part, so there is no steady state to relax towards and
+    # the exact propagator is checked against a tightly integrated ODE.
+    spec = SystemSpec(omega_a=1.0, delta=1.0, g=0.08, gamma0=0.01,
+                      kappa0=0.1, n_a0=1.0, n_b0=0.2)
+    model = build_drift(spec)
+    assert not stability(model).hurwitz
+    start = CovarianceState(mean=np.array([0.3, -0.2, 0.1, 0.0]),
+                            covariance=thermal_state(1.0, 0.2).covariance,
+                            time=0.0)
+    duration = 20.0
+    trajectory = evolve(model, start, duration, num_points=81)
+    a, d = model.drift, model.diffusion
+
+    def rhs(_t, y):
+        v = y[4:].reshape(4, 4)
+        return np.concatenate([a @ y[:4], (a @ v + v @ a.T + d).ravel()])
+
+    reference = solve_ivp(rhs, (0.0, duration),
+                          np.concatenate([start.mean,
+                                          start.covariance.ravel()]),
+                          method="DOP853", rtol=1e-12, atol=1e-12,
+                          t_eval=trajectory.times)
+    assert reference.success
+    n_ref = np.array([0.5 * (y[4] + y[9] + y[0] ** 2 + y[1] ** 2 - 1.0)
+                      for y in reference.y.T])
+    n = trajectory.occupations("a")
+    assert n[-1] > 10.0 * n[0]
+    assert np.max(np.abs(n - n_ref) / n_ref) < 1e-9
+    covs = trajectory.covariances.reshape(-1, 16)
+    scale = np.max(np.abs(reference.y[4:]), axis=0)
+    assert np.max(np.abs(covs - reference.y[4:].T).max(axis=1) / scale) < 1e-9
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+def test_evolve_rejects_bad_duration(duration):
+    with pytest.raises(ValueError, match="duration"):
+        evolve(build_drift(SCALED), thermal_state(1.0, 0.0), duration)
+
+
 def test_frequency_scaling_leaves_covariance_invariant():
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.01,
                       kappa0=0.2, n_a0=2.0, n_b0=0.1)
@@ -278,4 +349,21 @@ def test_fit_rejects_non_decaying_trajectory():
                             time=0.0)
     trajectory = evolve(model, start, duration=50.0, num_points=200)
     with pytest.raises(FitError):
+        fit_cooling_rate(trajectory)
+
+
+def test_fit_rejects_rounding_level_decay():
+    # A constant trace that drifts down by 1e-15 has n(t0) > n(t1), but its
+    # decay amplitude is rounding error, not a relaxation.
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.05, gamma0=0.01,
+                      kappa0=0.2, n_a0=1.0, n_b0=0.0)
+    times = np.linspace(0.0, 50.0, 200)
+    covariances = np.array([
+        thermal_state(1.0 - 1e-15 * k / (times.size - 1), 0.0).covariance
+        for k in range(times.size)])
+    trajectory = Trajectory(times=times, means=np.zeros((times.size, 4)),
+                            covariances=covariances, model=build_drift(spec))
+    n = trajectory.occupations("a")
+    assert n[0] > n[-1] and n[0] - n[-1] < 1e-14
+    with pytest.raises(FitError, match="does not decay"):
         fit_cooling_rate(trajectory)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,37 @@ def test_system_spec_validation():
     with pytest.raises(ValueError):
         SystemSpec(omega_a=1.0, delta=-1, g=0.1, gamma0=0, kappa0=0.1,
                    n_a0=-1, n_b0=0)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+VALID_SPEC = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.01,
+                        kappa0=0.1, n_a0=1.0, n_b0=0.1)
+VALID_CIRCUIT = CircuitParams(c_x0=0.6e-15, c_sigma0=2.5e-15, inductance=1e-7,
+                              d0=100e-9, delta_x0=1e-13, v_c=0.025,
+                              resistance=1e7, t0=0.02, c_g=1.0e-15,
+                              c_b=0.9e-15)
+VALID_MODE = ModeParams(frequency=20e6, damping=2e3, bath_occupation=20.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", [f.name for f in fields(SystemSpec)])
+def test_system_spec_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(VALID_SPEC, **{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", [f.name for f in fields(CircuitParams)])
+def test_circuit_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(VALID_CIRCUIT, **{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", [f.name for f in fields(ModeParams)])
+def test_mode_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(VALID_MODE, **{name: value})
 
 
 def test_implied_mass_round_trip():
