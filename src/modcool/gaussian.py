@@ -199,8 +199,12 @@ def stability(model: DriftModel) -> StabilityReport:
 
 def physicality_margin(state: CovarianceState) -> float:
     """Smallest eigenvalue of V + i Omega / 2; >= -1e-9 for a physical state."""
-    m = state.covariance + 0.5j * SYMPLECTIC_FORM
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(_margins(state.covariance[np.newaxis])[0])
+
+
+def _margins(covariances: np.ndarray) -> np.ndarray:
+    """Physicality margin of each covariance of a stack, in one ``eigvalsh``."""
+    return np.linalg.eigvalsh(covariances + 0.5j * SYMPLECTIC_FORM)[:, 0]
 
 
 def thermal_state(n_a: float, n_b: float, time: float = 0.0) -> CovarianceState:
@@ -229,8 +233,7 @@ def _occupations(means: np.ndarray, covariances: np.ndarray,
     """
     if mode not in _MODE_QUADRATURES:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    margin = float(np.min(np.linalg.eigvalsh(
-        covariances + 0.5j * SYMPLECTIC_FORM)[:, 0]))
+    margin = float(np.min(_margins(covariances)))
     if margin < -PHYSICALITY_TOL:
         raise ValueError(
             f"covariance violates the uncertainty bound by {margin:.3e}")
@@ -288,12 +291,15 @@ def evolve(model: DriftModel, initial: CovarianceState, duration: float,
 
         m <- E m,    V <- E V E^T + Q,
 
-    with E = expm(A dt) and Q = int_0^dt expm(A s) D expm(A^T s) ds.  Both
-    come from one Van Loan block exponential,
-    expm([[-A, D], [0, A^T]] dt) = [[., F], [0, E^T]] and Q = E F
-    (C. F. Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)), which holds
-    for any drift, Hurwitz or not.  The only error is the rounding of the
-    exponential and of the repeated products.
+    with E = expm(A dt) and Q = int_0^dt expm(A s) D expm(A^T s) ds.  Over a
+    short step h both come from one Van Loan block exponential,
+    expm([[-A, D], [0, A^T]] h) = [[., F], [0, E(h)^T]] and Q(h) = E(h) F
+    (C. F. Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  The -A
+    block grows where A decays, so Q(h) cancels terms of size
+    exp(||A|| h); h = dt / 2**s is therefore chosen with ||A||_1 h <= 1 and
+    doubled back up s times with Q(2h) = E(h) Q(h) E(h)^T + Q(h),
+    E(2h) = E(h)^2.  This holds for any drift, Hurwitz or not, and for any
+    output spacing.
     """
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
@@ -301,13 +307,20 @@ def evolve(model: DriftModel, initial: CovarianceState, duration: float,
         raise ValueError("num_points must be at least 2")
     a, d = model.drift, model.diffusion
     times = np.linspace(0.0, duration, num_points)
+    dt = duration / (num_points - 1)
+    # frexp's exponent s is the least with ||A||_1 dt < 2**s (0 for 0).
+    squarings = max(0, math.frexp(float(np.linalg.norm(a, 1)) * dt)[1])
     block = np.zeros((8, 8))
     block[:4, :4] = -a
     block[:4, 4:] = d
     block[4:, 4:] = a.T
-    exp_block = expm(block * (duration / (num_points - 1)))
+    exp_block = expm(block * math.ldexp(dt, -squarings))
     step = exp_block[4:, 4:].T
     increment = step @ exp_block[:4, 4:]
+    for _ in range(squarings):
+        increment = step @ increment @ step.T + increment
+        increment = 0.5 * (increment + increment.T)
+        step = step @ step
     means = np.empty((num_points, 4))
     covariances = np.empty((num_points, 4, 4))
     mean, v = initial.mean, initial.covariance

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from modcool import SystemSpec, analytic, gaussian
+from modcool.cli import FIGURE_BASE
 from modcool.gaussian import (
     SYMPLECTIC_FORM,
     CovarianceState,
@@ -234,6 +235,29 @@ def test_evolve_matches_closed_form_on_hurwitz_specs():
             v = e @ (start.covariance - v_inf) @ e.T + v_inf
             assert np.max(np.abs(state.covariance - v)) <= 1e-9
             assert np.max(np.abs(state.mean - e @ start.mean)) <= 1e-9
+
+
+@pytest.mark.parametrize("g", [2e6, 1e5])
+@pytest.mark.parametrize("duration,num_points", [(1e-3, 20), (3e-2, 400)])
+def test_evolve_matches_closed_form_on_coarse_grids(g, duration, num_points):
+    # Output steps of 53 and 75 us, where exp(pi kappa0 dt) of the figure
+    # parameters is about 1e287 and past overflow: the block exponential
+    # must not be taken over a whole step.  The weak coupling leaves the
+    # mechanical mode slow, so the step keeps a sizeable E.
+    spec = replace(FIGURE_BASE, g=g)
+    model = build_drift(spec)
+    v_inf = steady_state(model).covariance
+    start = CovarianceState(mean=np.array([3.0, -2.0, 1.0, 0.5]),
+                            covariance=thermal_state(spec.n_a0,
+                                                     spec.n_b0).covariance,
+                            time=0.0)
+    trajectory = evolve(model, start, duration, num_points=num_points)
+    for t, m, v in zip(trajectory.times, trajectory.means,
+                       trajectory.covariances):
+        e = expm(model.drift * t)
+        v_ref = e @ (start.covariance - v_inf) @ e.T + v_inf
+        assert np.max(np.abs(v - v_ref)) <= 1e-9 * np.max(np.abs(v_ref))
+        assert np.max(np.abs(m - e @ start.mean)) <= 1e-9
 
 
 def test_evolve_matches_reference_integration_for_unstable_drift():
