@@ -4,8 +4,9 @@ The rotating-frame Hamiltonian with the bilinear coupling (optionally with
 its pair-creation part dropped) and local thermal dissipators is assembled
 as a sparse Liouvillian acting on column-stacked density matrices.  The
 module exists to verify the Gaussian solver and the closed-form results by a
-completely independent route, so it favours explicit construction over
-cleverness.
+completely independent route.  Stationary states come from GMRES
+preconditioned by the LU factor of the RWA Liouvillian (full LU where that
+is too weak); trajectories are ``expm(L t) rho0`` on a uniform time grid.
 
 Frequencies in the :class:`~modcool.model.SystemSpec` are ordinary (Hz) and
 are converted to angular units here; evolution times are seconds.  Stationary
@@ -14,15 +15,16 @@ states are invariant under that overall scale.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import eigs, expm_multiply, spsolve
+from scipy.sparse.linalg import (LinearOperator, eigs, expm_multiply, gmres,
+                                 splu)
 
-from .model import SystemSpec
+from .model import SystemSpec, _require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,10 +34,17 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
 
-# Hilbert-space size up to which the stationary state is obtained from the
-# sparse null space directly; larger systems fall back to long-time
-# propagation.
-_DIRECT_DIM_LIMIT = 256
+# Stationary route.  A solve needing more GMRES iterations than the budget
+# marks a weak preconditioner: at dims (14, 7) the full LU then costs less
+# (it matches 20-50 iterations per gap solve).  The gap's Krylov dimension
+# needs the fewest solves over g = 0.02-0.05 there.
+_GMRES_RTOL = 1e-13
+_GAP_SOLVE_RTOL = 1e-10
+_GMRES_BUDGET = 30
+_GAP_NCV = 12
+_GAP_TOL = 1e-10
+
+logger = logging.getLogger(__name__)
 
 
 class TruncationError(RuntimeError):
@@ -151,6 +160,11 @@ def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
     ``config.include_counter_rotating``.  Dissipators: local thermal damping
     of each mode at gamma0 and kappa0 with bath occupations n_a0, n_b0.
     """
+    return FockGenerator(spec=spec, config=config,
+                         matrix=_liouvillian(spec, config))
+
+
+def _liouvillian(spec: SystemSpec, config: OracleConfig) -> sp.csr_matrix:
     a, b = _mode_operators(config.dims)
     identity = sp.identity(config.dims[0] * config.dims[1], dtype=complex,
                            format="csr")
@@ -177,8 +191,7 @@ def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
     ):
         if rate > 0:
             liouvillian = liouvillian + rate * _dissipator(op, identity)
-    return FockGenerator(spec=spec, config=config,
-                         matrix=liouvillian.tocsr())
+    return liouvillian.tocsr()
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
@@ -217,6 +230,7 @@ def truncation_check(state: DensityState,
 def thermal_density(dims: tuple[int, int], n_a: float,
                     n_b: float) -> DensityState:
     """Product of truncated thermal states, renormalised on the kept levels."""
+    _require_finite(n_a=n_a, n_b=n_b)
     if n_a < 0 or n_b < 0:
         raise ValueError("occupations must be non-negative")
 
@@ -243,143 +257,129 @@ def _check_positive(state: DensityState) -> None:
             f"density matrix has eigenvalue {floor:.3e} below -{POSITIVITY_TOL}")
 
 
-def _residual_trace_norm(generator: FockGenerator, rho: np.ndarray) -> float:
-    n = rho.shape[0]
-    resid = _unvec(generator.matrix @ _vec(rho), n)
-    return float(np.linalg.svd(resid, compute_uv=False).sum())
-
-
-def _gap_reference(spec: SystemSpec) -> float:
+def _check_gap(spec: SystemSpec, gap: float) -> None:
     rates = [TWO_PI * r for r in (spec.gamma0, spec.kappa0) if r > 0]
-    return min(rates) if rates else TWO_PI * spec.omega_a
-
-
-def _check_gap(generator: FockGenerator, gap: float) -> None:
-    reference = _gap_reference(generator.spec)
-    if gap < 1e-7 * reference:
+    reference = min(rates) if rates else TWO_PI * spec.omega_a
+    if not gap >= 1e-7 * reference:
         raise DegenerateSteadyStateError(
             f"stationary subspace is degenerate: spectral gap {gap:.3e} 1/s "
             f"(slowest dissipation scale {reference:.3e} 1/s)")
 
 
-def _steady_eigs(generator: FockGenerator) -> tuple[np.ndarray, float]:
-    """Stationary state and spectral gap from one shift-inverted Arnoldi run.
-
-    The two Liouvillian eigenvalues nearest a tiny positive shift are the
-    stationary one (numerically zero) and the slowest relaxation rate; the
-    eigenvector of the former is the stationary density matrix.  A fixed
-    thermal starting vector keeps the run deterministic.
-    """
-    matrix = generator.matrix.tocsc()
-    n2 = matrix.shape[0]
-    n = int(math.isqrt(n2))
-    shift = 1e-6 * float(np.abs(matrix.data).max())
-    spec = generator.spec
-    v0 = _vec(thermal_density(generator.config.dims, min(spec.n_a0, 1.0),
-                              min(spec.n_b0, 1.0)).matrix)
-    values, vectors = eigs(matrix, k=2, sigma=shift, which="LM", tol=1e-12,
-                           v0=v0)
-    order = np.argsort(np.abs(values))
-    gap = float(np.abs(values[order[1]]))
-    return _unvec(vectors[:, order[0]], n), gap
+class _KrylovFailed(Exception):
+    """A preconditioned solve did not converge within the GMRES budget."""
 
 
-def _steady_direct(generator: FockGenerator) -> np.ndarray:
-    """Null vector of the Liouvillian with the trace functional pinned to 1."""
-    matrix = generator.matrix
-    n2 = matrix.shape[0]
-    n = int(math.isqrt(n2))
+def _trace_pinned(matrix: sp.csr_matrix) -> sp.csc_matrix:
+    """``L`` with row 0 (redundant by trace preservation) set to the trace."""
+    n = math.isqrt(matrix.shape[0])
     trace_row = sp.csr_matrix(
         (np.ones(n), (np.zeros(n, dtype=int), np.arange(n) * (n + 1))),
-        shape=(1, n2), dtype=complex)
-    system = sp.vstack([trace_row, matrix[1:, :]], format="csc")
-    rhs = np.zeros(n2, dtype=complex)
-    rhs[0] = 1.0
-    solution = spsolve(system, rhs)
-    return _unvec(solution, n)
+        shape=(1, n * n), dtype=complex)
+    return sp.vstack([trace_row, matrix[1:, :]], format="csc")
 
 
-def _steady_by_propagation(generator: FockGenerator, initial: DensityState,
-                           residual_tol: float,
-                           max_steps: int) -> np.ndarray:
-    spec = generator.spec
-    rates = [TWO_PI * r for r in (spec.gamma0, spec.kappa0) if r > 0]
-    if not rates:
-        raise DegenerateSteadyStateError(
-            "propagation cannot converge without dissipation")
-    dt = 2.0 / min(rates)
-    n = initial.matrix.shape[0]
-    vec = _vec(initial.matrix.copy())
-    step = (generator.matrix * dt).tocsc()
-    for _ in range(max_steps):
-        vec = expm_multiply(step, vec)
-        rho = _hermitize(_unvec(vec, n))
-        rho = rho / rho.trace().real
-        if _residual_trace_norm(generator, rho) <= residual_tol:
-            return rho
-        vec = _vec(rho)
-    raise RuntimeError(
-        f"propagation did not reach the stationary residual within "
-        f"{max_steps} steps of {dt:.3e} s")
+def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
+    """``solve(rhs, rtol)`` by GMRES preconditioned by ``factor``; appends
+    the inner iterations to ``iterations`` and gives up past the budget."""
+    preconditioner = LinearOperator(pinned.shape, matvec=factor.solve,
+                                    dtype=complex)
+
+    def solve(rhs: np.ndarray, rtol: float) -> np.ndarray:
+        iterations.append(0)
+
+        def count(_residual) -> None:
+            iterations[-1] += 1
+            if iterations[-1] > _GMRES_BUDGET:
+                raise _KrylovFailed
+
+        solution, info = gmres(pinned, rhs, rtol=rtol, restart=_GMRES_BUDGET,
+                               M=preconditioner, callback=count,
+                               callback_type="pr_norm")
+        if info != 0:
+            raise _KrylovFailed
+        return solution
+
+    return solve
 
 
-def steady_state(generator: FockGenerator, method: str = "auto",
-                 residual_tol: float = 1e-10, check_unique: bool = True,
-                 initial: DensityState | None = None,
-                 max_steps: int = 400) -> DensityState:
-    """Stationary density matrix of the Liouvillian.
+def _stationary(solve, size: int,
+                check_unique: bool) -> tuple[np.ndarray, float | None]:
+    """Stationary vector and optional gap, with ``solve(rhs, rtol) = A^-1 rhs``.
 
-    ``method`` is ``"direct"`` (sparse null-space solve), ``"propagate"``
-    (repeated exponential stepping from ``initial`` or a thermal state), or
-    ``"auto"``, which picks the direct route up to a Hilbert dimension of
-    256 and propagation beyond.  The returned state satisfies
-    ``||L(rho)||_tr <= residual_tol`` relative to the largest Liouvillian
-    entry, is renormalised to unit trace, and must pass the truncation-tail
-    check of the generator's config.
-
-    With ``check_unique`` (direct route) the spectral gap of the Liouvillian
-    comes out of the same factorisation as the state and a (near-)degenerate
-    stationary subspace raises :class:`DegenerateSteadyStateError`.  The
-    propagation route relies on its converged contraction instead.
+    ``B(v) = A^-1 [0; v[1:]]`` is ``L^-1`` on traceless vectors and maps all
+    vectors to traceless ones, so its largest |eigenvalue| is 1/gap.  The
+    all-ones Arnoldi start vector reaches every coherence sector.
     """
-    dims = generator.config.dims
-    dim = dims[0] * dims[1]
-    if method == "auto":
-        method = "direct" if dim <= _DIRECT_DIM_LIMIT else "propagate"
-    if method not in ("direct", "propagate"):
-        raise ValueError(f"unknown method {method!r}")
-    scale = float(np.abs(generator.matrix.data).max())
-    tolerance = residual_tol * max(1.0, scale)
-    if method == "direct":
-        if check_unique:
-            # One factorisation yields both the state and the spectral gap.
-            rho, gap = _steady_eigs(generator)
-            _check_gap(generator, gap)
-        else:
-            rho = _steady_direct(generator)
-        rho = _hermitize(rho)
-        rho = rho / rho.trace().real
-        resid = _residual_trace_norm(generator, rho)
-        if resid > tolerance and check_unique:
-            # Arnoldi eigenvector not accurate enough; pin the trace and solve.
-            rho = _hermitize(_steady_direct(generator))
-            rho = rho / rho.trace().real
-            resid = _residual_trace_norm(generator, rho)
-        if resid > tolerance:
-            raise RuntimeError(
-                f"stationary residual {resid:.3e} exceeds {tolerance:.3e}")
+    vector = solve(np.eye(1, size, dtype=complex)[0], _GMRES_RTOL)
+    if not check_unique:
+        return vector, None
+
+    def deflated(v: np.ndarray) -> np.ndarray:
+        return solve(np.concatenate(([0.0], v.ravel()[1:])), _GAP_SOLVE_RTOL)
+
+    operator = LinearOperator((size, size), matvec=deflated, dtype=complex)
+    value = eigs(operator, k=1, which="LM", ncv=_GAP_NCV, tol=_GAP_TOL,
+                 v0=np.ones(size, dtype=complex), return_eigenvectors=False)[0]
+    return vector, 1.0 / abs(value)
+
+
+def steady_state(generator: FockGenerator, residual_tol: float = 1e-10,
+                 check_unique: bool = True) -> DensityState:
+    """Stationary density matrix of the Liouvillian ``L``.
+
+    ``A x = e_0`` (``L`` with row 0 set to the trace functional) is solved by
+    GMRES preconditioned by the LU factor of the pinned RWA part of ``L``
+    (P. D. Nation, arXiv:1504.06768); without a pair-creation term that
+    factor is exact.  Past the GMRES budget, or with a singular RWA factor,
+    the full pinned ``L`` is factored instead.  With ``check_unique`` the
+    spectral gap comes from the same solves; a (near-)degenerate stationary
+    subspace or a singular full factor raises
+    :class:`DegenerateSteadyStateError`.  The unit-trace state must meet
+    ``||L(rho)||_tr <= residual_tol`` (relative to max |L|) and the tail
+    check.  Route, GMRES iterations, residual and gap are logged at DEBUG.
+    """
+    config = generator.config
+    pinned = _trace_pinned(generator.matrix)
+    routes = [("lu", pinned)]
+    if config.include_counter_rotating:
+        routes = [("krylov", _trace_pinned(_liouvillian(
+            generator.spec, replace(config, include_counter_rotating=False)))),
+            ("lu-fallback", pinned)]
+    iterations: list[int] = []
+    for route, matrix in routes:
+        try:
+            factor = splu(matrix)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            continue
+        solve = (_gmres_solver(pinned, factor, iterations)
+                 if matrix is not pinned
+                 else lambda rhs, _rtol, lu=factor: lu.solve(rhs))
+        try:
+            vector, gap = _stationary(solve, pinned.shape[0], check_unique)
+            break
+        except _KrylovFailed:
+            continue
     else:
-        # Propagation exists for systems too large to factor, where the gap
-        # estimate (which needs the same factorisation) is out of reach; a
-        # converged contraction to the residual tolerance is the uniqueness
-        # evidence on this path.
-        if initial is None:
-            initial = thermal_density(dims, min(generator.spec.n_a0, 1.0),
-                                      min(generator.spec.n_b0, 1.0))
-        rho = _steady_by_propagation(generator, initial, tolerance, max_steps)
-    state = DensityState(dims=dims, matrix=rho)
+        raise DegenerateSteadyStateError(
+            "stationary subspace is degenerate: the trace-pinned Liouvillian "
+            "is exactly singular")
+    if gap is not None:
+        _check_gap(generator.spec, gap)
+    n = config.dims[0] * config.dims[1]
+    rho = _hermitize(_unvec(vector, n))
+    rho = rho / rho.trace().real
+    tolerance = residual_tol * max(1.0, np.abs(generator.matrix.data).max())
+    resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
+                                compute_uv=False).sum())
+    logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "
+                 "gap=%s", route, sum(iterations), resid, gap)
+    if not resid <= tolerance:
+        raise RuntimeError(
+            f"stationary residual {resid:.3e} exceeds {tolerance:.3e}")
+    state = DensityState(dims=config.dims, matrix=rho)
     _check_positive(state)
-    tails = truncation_check(state, generator.config.tail_threshold)
+    tails = truncation_check(state, config.tail_threshold)
     if not tails.ok:
         raise TruncationError(
             f"stationary state leaks into the highest Fock levels: "
@@ -389,17 +389,15 @@ def steady_state(generator: FockGenerator, method: str = "auto",
 
 
 def evolve(generator: FockGenerator, initial: DensityState, duration: float,
-           rtol: float = 1e-9, atol: float = 1e-11,
            num_points: int = 100) -> FockTrajectory:
-    """Integrate the master equation for ``duration`` seconds.
+    """``expm(L t) rho0`` at ``num_points`` uniform times in [0, duration] s.
 
-    The initial state must fit the truncation (tail check against the
-    generator's threshold).  Trace conservation is verified to 1e-8 over the
-    whole trajectory before snapshots are renormalised; a larger drift
-    raises.
+    Snapshots come from :func:`scipy.sparse.linalg.expm_multiply`.  The
+    initial state must fit the truncation.  Trace conservation is verified to
+    1e-8 before snapshots are renormalised; a larger drift raises.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not duration > 0 or not math.isfinite(duration):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     if initial.dims != generator.config.dims:
         raise ValueError(
             f"initial dims {initial.dims} != generator dims "
@@ -409,17 +407,14 @@ def evolve(generator: FockGenerator, initial: DensityState, duration: float,
         raise TruncationError(
             f"initial state does not fit the truncation: tail_a = "
             f"{tails.tail_a:.3e}, tail_b = {tails.tail_b:.3e}")
-    matrix = generator.matrix
     n = initial.matrix.shape[0]
     times = np.linspace(0.0, duration, num_points)
-    sol = solve_ivp(lambda _t, y: matrix @ y, (0.0, duration),
-                    _vec(initial.matrix.astype(complex)), method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=times)
-    if not sol.success:
-        raise RuntimeError(f"master-equation integration failed: {sol.message}")
+    vectors = expm_multiply(generator.matrix, _vec(initial.matrix),
+                            start=0.0, stop=duration, num=num_points,
+                            endpoint=True)
     states = []
     for k in range(num_points):
-        rho = _hermitize(_unvec(sol.y[:, k], n))
+        rho = _hermitize(_unvec(vectors[k], n))
         trace = rho.trace().real
         if abs(trace - 1.0) > TRACE_DRIFT_TOL:
             raise RuntimeError(

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.optimize import curve_fit
 
-from .model import SystemSpec
+from .model import SystemSpec, _require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,6 +209,7 @@ def _margins(covariances: np.ndarray) -> np.ndarray:
 
 def thermal_state(n_a: float, n_b: float, time: float = 0.0) -> CovarianceState:
     """Product of thermal states with the given occupations (zero means)."""
+    _require_finite(n_a=n_a, n_b=n_b, time=time)
     if n_a < 0 or n_b < 0:
         raise ValueError("occupations must be non-negative")
     cov = np.diag([n_a + 0.5, n_a + 0.5, n_b + 0.5, n_b + 0.5])

@@ -29,9 +29,9 @@ _BOSE_SMALL_X = 1e-6
 _MAX_DISPLACEMENT_RATIO = 0.01
 
 
-def _require_finite(params) -> None:
-    """Reject NaN and infinite values in the numeric fields of a dataclass."""
-    for name, value in vars(params).items():
+def _require_finite(**values) -> None:
+    """Reject NaN and infinite values among named numbers (``None`` passes)."""
+    for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -53,6 +53,7 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
         1/(exp(h f / k_B T) - 1), evaluated on overflow/underflow-safe
         branches.  Exactly 0.0 at zero temperature.
     """
+    _require_finite(frequency=frequency, temperature=temperature)
     if frequency <= 0:
         raise ValueError(f"frequency must be positive, got {frequency}")
     if temperature < 0:
@@ -109,7 +110,7 @@ class CircuitParams:
     c_b: float | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_finite(**vars(self))
         for name in ("c_x0", "c_sigma0", "inductance", "d0", "delta_x0",
                      "resistance", "t0"):
             value = getattr(self, name)
@@ -151,7 +152,7 @@ class ModeParams:
     bath_occupation: float | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_finite(**vars(self))
         if self.frequency <= 0:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
         if self.damping < 0:
@@ -174,6 +175,7 @@ class CouplingConstants:
     g_l: float
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         if self.g_r < 0 or self.g_l < 0:
             raise ValueError("coupling magnitudes must be non-negative")
 
@@ -209,7 +211,7 @@ class SystemSpec:
     n_b0: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_finite(**vars(self))
         if self.omega_a <= 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
         if self.g < 0:

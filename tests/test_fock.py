@@ -1,8 +1,10 @@
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from modcool import SystemSpec, analytic, fock, gaussian
 from modcool.fock import (
@@ -115,15 +117,102 @@ def test_doubling_dims_does_not_move_occupations(scaled):
                - mode_occupation(small, "a")) <= budget
 
 
-def test_direct_and_propagation_paths_agree():
+def pinned_direct_solve(generator):
+    """Stationary density matrix from one sparse LU solve, independent of fock.
+
+    Row 0 of the Liouvillian (column-stacked) is replaced by the trace
+    functional and the system is solved for a unit trace.
+    """
+    n = generator.config.dims[0] * generator.config.dims[1]
+    pinned = generator.matrix.tolil()
+    pinned[0, :] = 0.0
+    pinned[0, np.arange(n) * (n + 1)] = 1.0
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = 1.0
+    return spsolve(pinned.tocsc(), rhs).reshape((n, n), order="F")
+
+
+def logged_solve(caplog, generator, **kwargs):
+    """Steady state plus the fields of its DEBUG record on ``modcool.fock``."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
+        state = steady_state(generator, **kwargs)
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.name == "modcool.fock"]
+    fields = dict(item.split("=") for item in message.split(": ")[1].split())
+    return state, fields
+
+
+@pytest.mark.parametrize("g, route", [(0.1, "krylov"), (0.2, "lu-fallback")])
+def test_steady_state_matches_pinned_direct_solve(g, route, caplog):
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
+                      kappa0=0.3, n_a0=0.5, n_b0=0.0)
+    generator = build_generator(spec, OracleConfig(dims=(10, 7)))
+    state, fields = logged_solve(caplog, generator)
+    assert fields["route"] == route
+    reference = pinned_direct_solve(generator)
+    assert np.max(np.abs(state.matrix - reference)) <= 1e-10
+    reference_state = DensityState(dims=(10, 7), matrix=reference)
+    assert mode_occupation(state, "a") == pytest.approx(
+        mode_occupation(reference_state, "a"), rel=1e-10)
+
+
+@pytest.mark.parametrize("g, counter_rotating, route", [
+    (0.02, True, "krylov"), (0.2, True, "lu-fallback"), (0.2, False, "lu")])
+def test_gap_matches_dense_spectrum(g, counter_rotating, route, caplog):
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
+                      kappa0=0.3, n_a0=0.05, n_b0=0.0)
+    config = OracleConfig(dims=(6, 4), include_counter_rotating=counter_rotating,
+                          tail_threshold=1e-4)
+    generator = build_generator(spec, config)
+    _, fields = logged_solve(caplog, generator)
+    assert fields["route"] == route
+    rates = np.sort(np.abs(np.linalg.eigvals(generator.matrix.toarray())))
+    assert rates[0] <= 1e-10 * rates[-1]
+    assert float(fields["gap"]) == pytest.approx(rates[1], rel=1e-8)
+
+
+def test_steady_state_log_is_silent_by_default(scaled, caplog):
+    generator = build_generator(scaled, OracleConfig(dims=(8, 4)))
+    steady_state(generator, check_unique=False)
+    assert not [r for r in caplog.records if r.name == "modcool.fock"]
+    _, fields = logged_solve(caplog, generator, check_unique=False)
+    assert fields["route"] == "krylov"
+    assert 0 < int(fields["gmres_iterations"]) <= 30
+    assert float(fields["residual"]) <= 1e-10
+    assert fields["gap"] == "None"
+
+
+def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
+                                                           caplog):
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.05,
                       kappa0=0.3, n_a0=0.5, n_b0=0.0)
     generator = build_generator(spec, OracleConfig(dims=(10, 7)))
-    direct = steady_state(generator, method="direct")
-    propagated = steady_state(generator, method="propagate",
-                              check_unique=False)
-    assert mode_occupation(direct, "a") == pytest.approx(
-        mode_occupation(propagated, "a"), abs=1e-8)
+    liouvillian = fock._liouvillian
+
+    def zero_rwa_part(spec, config):
+        matrix = liouvillian(spec, config)
+        return matrix if config.include_counter_rotating else 0 * matrix
+
+    monkeypatch.setattr(fock, "_liouvillian", zero_rwa_part)
+    state, fields = logged_solve(caplog, generator)
+    assert fields["route"] == "lu-fallback"
+    assert np.max(np.abs(state.matrix
+                         - pinned_direct_solve(generator))) <= 1e-10
+
+
+@pytest.mark.parametrize("counter_rotating, check_unique", [
+    (True, False), (False, True), (False, False)])
+def test_singular_liouvillian_is_degenerate(counter_rotating, check_unique):
+    # The undamped, uncoupled mechanics of
+    # test_degenerate_stationary_subspace_is_rejected, on the other routes:
+    # SuperLU finds the pinned matrix exactly singular.
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.0, gamma0=0.0,
+                      kappa0=0.3, n_a0=0.0, n_b0=0.0)
+    config = OracleConfig(dims=(5, 5),
+                          include_counter_rotating=counter_rotating)
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(build_generator(spec, config), check_unique=check_unique)
 
 
 def test_oracle_matches_gaussian_on_random_weak_specs():
@@ -248,6 +337,23 @@ def test_evolve_rejects_oversized_initial_state():
     hot = thermal_density((8, 4), 4.0, 0.0)
     with pytest.raises(TruncationError):
         evolve(generator, hot, duration=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["a", "b"])
+def test_thermal_density_rejects_non_finite(mode, value):
+    occupations = {"n_a": 0.5, "n_b": 0.1, f"n_{mode}": value}
+    with pytest.raises(ValueError, match="must be finite"):
+        thermal_density((6, 4), **occupations)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+def test_evolve_rejects_bad_duration(duration):
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=1e-3,
+                      kappa0=0.2, n_a0=0.1, n_b0=0.0)
+    generator = build_generator(spec, OracleConfig(dims=(6, 4)))
+    with pytest.raises(ValueError, match="duration"):
+        evolve(generator, thermal_density((6, 4), 0.1, 0.0), duration)
 
 
 def test_oracle_config_validation():

@@ -301,6 +301,14 @@ def test_evolve_rejects_bad_duration(duration):
         evolve(build_drift(SCALED), thermal_state(1.0, 0.0), duration)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["n_a", "n_b", "time"])
+def test_thermal_state_rejects_non_finite(name, value):
+    arguments = {"n_a": 1.0, "n_b": 0.0, "time": 0.0, name: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        thermal_state(**arguments)
+
+
 def test_frequency_scaling_leaves_covariance_invariant():
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.01,
                       kappa0=0.2, n_a0=2.0, n_b0=0.1)

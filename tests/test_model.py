@@ -7,6 +7,7 @@ from scipy.constants import h, hbar, k as k_B
 
 from modcool import (
     CircuitParams,
+    CouplingConstants,
     ModeParams,
     SystemSpec,
     build_system,
@@ -230,6 +231,21 @@ def test_circuit_params_reject_non_finite(name, value):
 def test_mode_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match="must be finite"):
         replace(VALID_MODE, **{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", [f.name for f in fields(CouplingConstants)])
+def test_coupling_constants_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(CouplingConstants(g_r=1e3, g_l=2e6), **{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["frequency", "temperature"])
+def test_thermal_occupation_rejects_non_finite(name, value):
+    arguments = {"frequency": 7.5e9, "temperature": 0.02, name: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        thermal_occupation(**arguments)
 
 
 def test_implied_mass_round_trip():
