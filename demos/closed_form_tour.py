@@ -25,13 +25,13 @@ print(f"  beam    n_a0 = {spec.n_a0:.3f}   (20 MHz at 20 mK)")
 print(f"  circuit n_b0 = {spec.n_b0:.3e} (7.5 GHz at 20 mK, effectively zero)")
 print()
 
-prediction = analytic.predict(spec)
+a_minus, a_plus = analytic.sideband_rates(spec)
 print("on the first red sideband (-delta = omega_a)")
-print(f"  cooling rate Gamma_c     = {prediction.cooling_rate:.6e} Hz")
-print(f"  exchange rate A_minus    = {prediction.resonant_rate:.6e} Hz")
-print(f"  pair-creation rate A_plus= {prediction.heating_rate:.6e} Hz")
-print(f"  backaction floor n_0     = {prediction.backaction_floor:.4e}")
-print(f"  stationary occupation    = {prediction.final_occupation:.5f}")
+print(f"  cooling rate Gamma_c     = {analytic.cooling_rate(spec):.6e} Hz")
+print(f"  exchange rate A_minus    = {a_minus:.6e} Hz")
+print(f"  pair-creation rate A_plus= {a_plus:.6e} Hz")
+print(f"  backaction floor n_0     = {analytic.backaction_floor(spec):.4e}")
+print(f"  stationary occupation    = {analytic.final_occupation(spec):.5f}")
 print(f"  without pair creation    = {analytic.rwa_final_occupation(spec):.5f}"
       "   (floor gone: limited by gamma0 alone)")
 print()

@@ -18,17 +18,6 @@ The package is organised by solver layer:
 """
 
 from . import analytic, fock, gaussian, model, semiclassical, sweep
-from .analytic import (
-    CoolingPrediction,
-    backaction_floor,
-    cooling_rate,
-    final_occupation,
-    final_occupation_weak_damping,
-    predict,
-    resonant_cooling_rate,
-    rwa_final_occupation,
-    sideband_rates,
-)
 from .model import (
     CircuitParams,
     CouplingConstants,
@@ -49,9 +38,6 @@ __all__ = [
     "build_system", "circuit_damping_rate", "coupling_constants",
     "effective_temperature", "implied_mass", "lc_frequency",
     "thermal_occupation",
-    "CoolingPrediction", "backaction_floor", "cooling_rate",
-    "final_occupation", "final_occupation_weak_damping", "predict",
-    "resonant_cooling_rate", "rwa_final_occupation", "sideband_rates",
 ]
 
 __version__ = "0.1.0"

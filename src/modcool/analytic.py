@@ -8,7 +8,6 @@ homogeneous in frequency, so rates in Hz produce rates in Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import SystemSpec
 
@@ -122,45 +121,3 @@ def rwa_final_occupation(spec: SystemSpec) -> float:
     bracket = 1.0 + ((4.0 * (spec.omega_a + spec.delta) ** 2 + spec.kappa0 ** 2)
                      / (4.0 * spec.g ** 2))
     return bracket * (spec.gamma0 / spec.kappa0) * spec.n_a0
-
-
-@dataclass(frozen=True)
-class CoolingPrediction:
-    """Bundle of the closed-form predictions for one spec.
-
-    The sideband transition rates are populated only on the first red
-    sideband; elsewhere they are None.
-    """
-
-    cooling_rate: float
-    backaction_floor: float
-    final_occupation: float
-    heating_rate: float | None
-    resonant_rate: float | None
-
-    def __post_init__(self) -> None:
-        if self.cooling_rate < 0 or self.backaction_floor < 0:
-            raise ValueError("rates and floor must be non-negative")
-        if self.final_occupation < 0:
-            raise ValueError("final occupation must be non-negative")
-        if self.resonant_rate is not None and self.heating_rate is not None:
-            if self.resonant_rate <= self.heating_rate:
-                raise ValueError(
-                    "resonant rate must exceed heating rate for a finite floor")
-
-
-def predict(spec: SystemSpec) -> CoolingPrediction:
-    """Evaluate all closed-form quantities for one spec."""
-    on_sideband = math.isclose(spec.delta, -spec.omega_a,
-                               rel_tol=_SIDEBAND_RTOL)
-    if on_sideband and spec.g > 0:
-        a_minus, a_plus = sideband_rates(spec)
-    else:
-        a_minus = a_plus = None
-    return CoolingPrediction(
-        cooling_rate=cooling_rate(spec),
-        backaction_floor=backaction_floor(spec),
-        final_occupation=final_occupation(spec),
-        heating_rate=a_plus,
-        resonant_rate=a_minus,
-    )

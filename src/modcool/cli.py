@@ -37,11 +37,6 @@ SCALED_BASE = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=1e-3,
 SCALED_DIMS = (25, 8)
 
 
-def _read_config(path: str) -> str:
-    with open(path, "r") as handle:
-        return handle.read()
-
-
 def _default_solvers(text: str | None) -> tuple[str, ...]:
     if text is None:
         return ("analytic", "gaussian")
@@ -56,25 +51,29 @@ def _write_text(out: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _load_point(args) -> tuple[SystemSpec, float | None, fock.OracleConfig | None]:
+def _load(args) -> sweep.Config:
+    """Parse ``--config`` once, applying ``--scaled`` to the point and sweep."""
     if args.config is None:
-        raise ConfigError("this command needs --config")
-    base, omega_b, oracle_config = sweep.parse_system_config(
-        _read_config(args.config))
-    if getattr(args, "scaled", False):
-        # The rescaled spec lives in units of omega_a; a circuit resonance
-        # expressed in Hz no longer applies, so drop it.
-        base = sweep.rescale_for_oracle(base)
-        omega_b = None
-    return base, omega_b, oracle_config
+        raise ConfigError(f"{args.command} needs --config")
+    with open(args.config, "r") as handle:
+        text = handle.read()
+    config = sweep.load_config(text)
+    if not getattr(args, "scaled", False):
+        return config
+    # The rescaled spec lives in units of omega_a; a circuit resonance
+    # expressed in Hz no longer applies, so drop it.
+    base = sweep.rescale_for_oracle(config.base)
+    swept = (None if config.sweep is None
+             else replace(config.sweep, base=base, omega_b=None))
+    return config._replace(base=base, omega_b=None, sweep=swept)
 
 
 def _cmd_steady(args) -> int:
-    base, omega_b, oracle_config = _load_point(args)
+    config = _load(args)
     solvers = _default_solvers(args.solvers)
-    spec = SweepSpec(base=base, parameter="delta",
-                     grid=np.array([base.delta]), solvers=solvers,
-                     oracle_config=oracle_config, omega_b=omega_b)
+    spec = SweepSpec(base=config.base, parameter="delta",
+                     grid=np.array([config.base.delta]), solvers=solvers,
+                     oracle_config=config.oracle, omega_b=config.omega_b)
     rows = sweep.run_sweep(spec)
     row = rows[0]
     for solver in solvers:
@@ -94,7 +93,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    base, _omega_b, _oracle = _load_point(args)
+    base = _load(args).base
     model = gaussian.build_drift(base)
     initial = gaussian.thermal_state(args.initial_n_a
                                      if args.initial_n_a is not None
@@ -113,11 +112,9 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config is None:
-        raise ConfigError("sweep needs --config")
-    spec = sweep.parse_config(_read_config(args.config))
-    if args.scaled:
-        spec = replace(spec, base=sweep.rescale_for_oracle(spec.base))
+    spec = _load(args).sweep
+    if spec is None:
+        raise ConfigError("missing [sweep] section")
     if args.grid is not None:
         spec = replace(spec, grid=sweep.parse_grid(args.grid))
     if args.solvers is not None:
@@ -182,13 +179,9 @@ def _cmd_compare(args) -> int:
         oracle_config = fock.OracleConfig(dims=SCALED_DIMS)
         omega_b = None
     else:
-        base, omega_b, oracle_config = sweep.parse_system_config(
-            _read_config(args.config))
+        base, omega_b, oracle_config, _, _ = _load(args)
         if oracle_config is None:
             raise ConfigError("compare needs an [oracle] section")
-        if args.scaled:
-            base = sweep.rescale_for_oracle(base)
-            omega_b = None
     report = sweep.compare(base, oracle_config, omega_b=omega_b)
     text = report.render()
     _write_text(args.out, text)
@@ -198,15 +191,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    if args.config is None:
-        raise ConfigError("design needs --config with [circuit], "
+    base, _, _, circuit, _ = _load(args)
+    if circuit is None:
+        raise ConfigError("design needs the circuit route: [circuit], "
                           "[mechanical] and [drive] sections")
-    text = _read_config(args.config)
-    base, omega_b, _oracle = sweep.parse_system_config(text)
-    if omega_b is None:
-        raise ConfigError("design needs the circuit route (LC resonance "
-                          "is derived from L and C_sigma0)")
-    circuit = sweep.parse_circuit(text)
     couplings = coupling_constants(circuit)
     lines = [
         "derived circuit quantities",

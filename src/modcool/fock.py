@@ -24,9 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import (LinearOperator, eigs, expm_multiply, gmres,
                                  splu)
 
-from .model import SystemSpec, _require_finite
-
-TWO_PI = 2.0 * math.pi
+from .model import SystemSpec, _require_finite, angular_rates
 
 # Contract tolerances for returned density matrices.
 TRACE_TOL = 1e-10
@@ -168,11 +166,7 @@ def _liouvillian(spec: SystemSpec, config: OracleConfig) -> sp.csr_matrix:
     a, b = _mode_operators(config.dims)
     identity = sp.identity(config.dims[0] * config.dims[1], dtype=complex,
                            format="csr")
-    omega_a = TWO_PI * spec.omega_a
-    delta = TWO_PI * spec.delta
-    g = TWO_PI * spec.g
-    gamma0 = TWO_PI * spec.gamma0
-    kappa0 = TWO_PI * spec.kappa0
+    omega_a, delta, g, gamma0, kappa0 = angular_rates(spec)
 
     hamiltonian = omega_a * (a.conj().T @ a) - delta * (b.conj().T @ b)
     if config.include_counter_rotating:
@@ -258,8 +252,9 @@ def _check_positive(state: DensityState) -> None:
 
 
 def _check_gap(spec: SystemSpec, gap: float) -> None:
-    rates = [TWO_PI * r for r in (spec.gamma0, spec.kappa0) if r > 0]
-    reference = min(rates) if rates else TWO_PI * spec.omega_a
+    omega_a, _, _, gamma0, kappa0 = angular_rates(spec)
+    rates = [r for r in (gamma0, kappa0) if r > 0]
+    reference = min(rates) if rates else omega_a
     if not gap >= 1e-7 * reference:
         raise DegenerateSteadyStateError(
             f"stationary subspace is degenerate: spectral gap {gap:.3e} 1/s "

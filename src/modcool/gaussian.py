@@ -25,9 +25,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.optimize import curve_fit
 
-from .model import SystemSpec, _require_finite
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, SystemSpec, _require_finite, angular_rates
 
 # Symplectic form for the quadrature ordering (X_a, P_a, X_b, P_b).
 SYMPLECTIC_FORM = np.array([
@@ -162,11 +160,7 @@ def build_drift(spec: SystemSpec) -> DriftModel:
     which anchors the uncoupled steady state at the bath occupations.  All
     entries carry the 2*pi of the Hz -> angular conversion.
     """
-    omega_a = TWO_PI * spec.omega_a
-    delta = TWO_PI * spec.delta
-    g = TWO_PI * spec.g
-    gamma0 = TWO_PI * spec.gamma0
-    kappa0 = TWO_PI * spec.kappa0
+    omega_a, delta, g, gamma0, kappa0 = angular_rates(spec)
     drift = np.array([
         [-gamma0 / 2.0, omega_a, 0.0, 0.0],
         [-omega_a, -gamma0 / 2.0, -2.0 * g, 0.0],

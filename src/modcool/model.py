@@ -28,6 +28,9 @@ _BOSE_SMALL_X = 1e-6
 # of the motion-dependent capacitance is trusted.
 _MAX_DISPLACEMENT_RATIO = 0.01
 
+# The one Hz -> angular conversion factor of the package.
+TWO_PI = 2.0 * math.pi
+
 
 def _require_finite(**values) -> None:
     """Reject NaN and infinite values among named numbers (``None`` passes)."""
@@ -224,9 +227,16 @@ class SystemSpec:
             raise ValueError("bath occupations must be non-negative")
 
 
+def angular_rates(spec: SystemSpec) -> tuple[float, float, float, float,
+                                              float]:
+    """(omega_a, delta, g, gamma0, kappa0) of a spec in angular units (1/s)."""
+    return (TWO_PI * spec.omega_a, TWO_PI * spec.delta, TWO_PI * spec.g,
+            TWO_PI * spec.gamma0, TWO_PI * spec.kappa0)
+
+
 def lc_frequency(params: CircuitParams) -> float:
     """Resonance frequency of the LC circuit in Hz, (1/2pi)/sqrt(L C_sigma0)."""
-    return 1.0 / (2.0 * math.pi * math.sqrt(params.inductance * params.c_sigma0))
+    return 1.0 / (TWO_PI * math.sqrt(params.inductance * params.c_sigma0))
 
 
 def circuit_damping_rate(params: CircuitParams) -> float:
@@ -235,7 +245,7 @@ def circuit_damping_rate(params: CircuitParams) -> float:
     The energy decay rate of the island mode is 1/(R C_sigma0) in angular
     units; dividing by 2pi expresses it as an ordinary frequency.
     """
-    return 1.0 / (2.0 * math.pi * params.resistance * params.c_sigma0)
+    return 1.0 / (TWO_PI * params.resistance * params.c_sigma0)
 
 
 def coupling_constants(params: CircuitParams) -> CouplingConstants:
@@ -247,7 +257,7 @@ def coupling_constants(params: CircuitParams) -> CouplingConstants:
     photon-number coupling does not involve the gate at all.  Their ratio is
     ``v_c * sqrt(2 c_sigma0 / (hbar omega_b))`` with omega_b angular.
     """
-    omega_b = 2.0 * math.pi * lc_frequency(params)
+    omega_b = TWO_PI * lc_frequency(params)
     ratio = params.delta_x0 / params.d0
     g_r = (hbar * omega_b / 2.0) * (params.c_x0 / params.c_sigma0) * ratio / h
     g_l = (params.c_x0 * params.v_c
@@ -290,6 +300,7 @@ def effective_temperature(spec: SystemSpec, t0: float, f_b: float) -> float:
     while keeping its thermal occupation, so it acts as a reservoir at a
     temperature reduced by |delta|/f_b.  Undefined at zero detuning.
     """
+    _require_finite(t0=t0, f_b=f_b)
     if spec.delta == 0:
         raise ValueError("effective temperature is undefined at zero detuning")
     if f_b <= 0:
@@ -304,6 +315,7 @@ def implied_mass(frequency: float, delta_x0: float) -> float:
 
     Inverts delta_x0 = sqrt(hbar / (2 m omega)) with omega = 2 pi frequency.
     """
+    _require_finite(frequency=frequency, delta_x0=delta_x0)
     if frequency <= 0 or delta_x0 <= 0:
         raise ValueError("frequency and delta_x0 must be positive")
-    return hbar / (2.0 * (2.0 * math.pi * frequency) * delta_x0 ** 2)
+    return hbar / (2.0 * (TWO_PI * frequency) * delta_x0 ** 2)

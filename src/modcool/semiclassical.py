@@ -25,14 +25,14 @@ from dataclasses import dataclass
 from scipy.constants import epsilon_0
 
 from .model import (
+    TWO_PI,
     CircuitParams,
+    _require_finite,
     circuit_damping_rate,
     coupling_constants,
     implied_mass,
     lc_frequency,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,10 @@ class SemiclassicalParams:
     vacuum_permittivity: float = epsilon_0
 
     def __post_init__(self) -> None:
+        _require_finite(plate_area=self.plate_area,
+                        drive_frequency=self.drive_frequency,
+                        mech_frequency=self.mech_frequency, mass=self.mass,
+                        vacuum_permittivity=self.vacuum_permittivity)
         if self.plate_area <= 0:
             raise ValueError(f"plate_area must be positive, got {self.plate_area}")
         if self.drive_frequency <= 0 or self.mech_frequency <= 0:
@@ -82,7 +86,8 @@ class BackactionCoefficients:
 
     ``spring_shift`` (N/m) softens the beam, ``friction_rate`` (Hz) is
     positive for net cooling, and ``island_voltage_gain`` is the
-    dimensionless upper-sideband transfer v_b / (v_c x / d0).
+    dimensionless upper-sideband transfer v_b / (v_c x / d0), with the sign
+    of :func:`island_voltage`.
     """
 
     spring_shift: float
@@ -96,46 +101,35 @@ class BackactionCoefficients:
             raise ValueError("friction_rate must be finite")
 
 
-def _island_pole(circuit: CircuitParams, omega: float) -> complex:
-    """Denominator omega_b^2 - omega^2 + i kappa0 omega (angular units)."""
+def _island_transfer(circuit: CircuitParams, omega: float) -> complex:
+    """Island response v_b / (v_c x / d0) at angular frequency omega.
+
+    The sign is that of the island equation of motion
+    v_b'' + kappa0 v_b' + w_b^2 v_b = -(C_x0/C_sigma0 d0) (v_c x)'',
+    which makes red-detuned driving produce friction:
+    w^2 C_x0 / [C_sigma0 (w_b^2 - w^2 + i kappa0 w)], all rates angular.
+    """
     omega_b = TWO_PI * lc_frequency(circuit)
-    kappa0 = 1.0 / (circuit.resistance * circuit.c_sigma0)
-    return omega_b ** 2 - omega ** 2 + 1j * kappa0 * omega
+    kappa0 = TWO_PI * circuit_damping_rate(circuit)
+    return (omega ** 2) * circuit.c_x0 / (
+        circuit.c_sigma0 * (omega_b ** 2 - omega ** 2 + 1j * kappa0 * omega))
 
 
 def island_voltage(params: SemiclassicalParams,
                    x_amplitude: float) -> complex:
     """Upper-sideband island voltage phasor driven by the beam motion.
 
-    v_b = -(w_d + w_a)^2 C_x0 x v_c / [C_sigma0 d0 (w_b^2 - (w_d+w_a)^2
-          + i kappa0 (w_d + w_a))]   (all frequencies angular internally).
-
-    At the pole w_d + w_a = w_b the magnitude is
-    w_b C_x0 |x| v_c / (C_sigma0 d0 kappa0) and the phasor sits in
-    quadrature with the motion (ratio to x purely imaginary).
+    The island transfer at w_d + w_a times v_c x / d0, for the motion
+    x cos(w_a t) and the phasor convention v_b = Im(V exp(i w t)).  At the
+    pole w_d + w_a = w_b the magnitude is w_b C_x0 |x| v_c /
+    (C_sigma0 d0 kappa0) and the phasor sits in quadrature with the motion
+    (its ratio to x is -i times a positive number); far below the pole the
+    ratio is positive real.
     """
     circuit = params.circuit
     omega = TWO_PI * (params.drive_frequency + params.mech_frequency)
-    pole = _island_pole(circuit, omega)
-    if pole == 0:
-        raise ZeroDivisionError(
-            "island response diverges: undamped circuit driven exactly on "
-            "resonance")
-    return (-(omega ** 2) * circuit.c_x0 * x_amplitude * circuit.v_c
-            / (circuit.c_sigma0 * circuit.d0 * pole))
-
-
-def _sideband_response(circuit: CircuitParams, omega: float) -> complex:
-    """Dimensionless island transfer at angular frequency omega.
-
-    Sign as derived from the island Hamiltonian (equation of motion
-    v_b'' + kappa0 v_b' + w_b^2 v_b = -(C_x0/C_sigma0 d0) (v_c x)''),
-    which is the sign that makes red-detuned driving produce friction.
-    The transfer reported by :func:`island_voltage` carries the opposite
-    overall sign convention for v_b; magnitudes agree.
-    """
-    return (omega ** 2) * circuit.c_x0 / (circuit.c_sigma0
-                                          * _island_pole(circuit, omega))
+    return (_island_transfer(circuit, omega) * circuit.v_c * x_amplitude
+            / circuit.d0)
 
 
 def backaction_coefficients(params: SemiclassicalParams) -> BackactionCoefficients:
@@ -150,20 +144,18 @@ def backaction_coefficients(params: SemiclassicalParams) -> BackactionCoefficien
     circuit = params.circuit
     omega_plus = TWO_PI * (params.drive_frequency + params.mech_frequency)
     omega_minus = TWO_PI * (params.drive_frequency - params.mech_frequency)
-    resp_plus = _sideband_response(circuit, omega_plus)
-    resp_minus = _sideband_response(circuit, omega_minus)
+    resp_plus = _island_transfer(circuit, omega_plus)
+    resp_minus = _island_transfer(circuit, omega_minus)
     prefactor = (params.vacuum_permittivity * params.plate_area
                  * circuit.v_c ** 2 / circuit.d0 ** 3)
     spring_shift = prefactor * (2.0 + (resp_plus + resp_minus).real)
     omega_a = TWO_PI * params.mech_frequency
     friction_angular = (-prefactor * (resp_plus - resp_minus).imag
                         / (params.effective_mass * omega_a))
-    gain = (-(omega_plus ** 2) * circuit.c_x0
-            / (circuit.c_sigma0 * _island_pole(circuit, omega_plus)))
     return BackactionCoefficients(
         spring_shift=spring_shift,
         friction_rate=friction_angular / TWO_PI,
-        island_voltage_gain=gain,
+        island_voltage_gain=resp_plus,
     )
 
 

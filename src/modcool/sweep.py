@@ -9,16 +9,17 @@ paired with a diagnostic string.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, replace
 from io import StringIO
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analytic, fock, gaussian
 from .model import (
+    TWO_PI,
     CircuitParams,
     ModeParams,
     SystemSpec,
@@ -119,6 +120,7 @@ _MECH_KEYS = {"frequency", "damping", "bath_occupation"}
 _DRIVE_KEYS = {"frequency"}
 _SWEEP_KEYS = {"parameter", "grid", "solvers"}
 _ORACLE_KEYS = {"dims", "include_counter_rotating", "tail_threshold"}
+_SECTIONS = {"system", "circuit", "mechanical", "drive", "sweep", "oracle"}
 
 
 def _check_keys(section: str, present, allowed, required) -> None:
@@ -150,19 +152,8 @@ def _circuit_from_parser(parser: ConfigParser) -> CircuitParams:
     )
 
 
-def parse_circuit(text: str) -> CircuitParams:
-    """Parse just the [circuit] section of a configuration file."""
-    parser = ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        parser.read_string(text)
-    except ConfigParserError as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-    if not parser.has_section("circuit"):
-        raise ConfigError("missing [circuit] section")
-    return _circuit_from_parser(parser)
-
-
-def _base_from_config(parser: ConfigParser) -> tuple[SystemSpec, float | None]:
+def _base_from_config(parser: ConfigParser, circuit: CircuitParams | None
+                      ) -> tuple[SystemSpec, float | None]:
     """Build the base SystemSpec from [system] or [circuit]+[mechanical]+[drive]."""
     if parser.has_section("system"):
         section = parser["system"]
@@ -180,14 +171,13 @@ def _base_from_config(parser: ConfigParser) -> tuple[SystemSpec, float | None]:
             n_b0=parse_quantity(section["n_b0"]) if "n_b0" in section else 0.0,
         )
         return spec, omega_b
-    if not parser.has_section("circuit"):
+    if circuit is None:
         raise ConfigError(
             "config must contain a [system] section or a [circuit] + "
             "[mechanical] + [drive] group")
     for name in ("mechanical", "drive"):
         if not parser.has_section(name):
             raise ConfigError(f"missing [{name}] section for the circuit route")
-    circuit = _circuit_from_parser(parser)
     mech_section = parser["mechanical"]
     _check_keys("mechanical", mech_section.keys(), _MECH_KEYS,
                 {"frequency", "damping"})
@@ -241,62 +231,56 @@ def parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def parse_config(text: str) -> SweepSpec:
-    """Parse configuration text into a validated :class:`SweepSpec`.
+class Config(NamedTuple):
+    """Everything one configuration file defines.
+
+    ``omega_b`` is the circuit resonance when one is defined (explicitly in
+    ``[system]`` or through the circuit route); ``oracle``, ``circuit`` and
+    ``sweep`` are None when their sections are absent.
+    """
+
+    base: SystemSpec
+    omega_b: float | None
+    oracle: fock.OracleConfig | None
+    circuit: CircuitParams | None
+    sweep: SweepSpec | None
+
+
+def load_config(text: str) -> Config:
+    """Parse and validate configuration text.
 
     Sections: ``[system]`` (or ``[circuit]`` + ``[mechanical]`` + ``[drive]``),
-    ``[sweep]`` and optionally ``[oracle]``.  Every frequency-like value takes
-    a unit suffix (Hz/kHz/MHz/GHz and so on); unknown keys or units are
-    rejected.
+    and optionally ``[sweep]`` and ``[oracle]``.  Every frequency-like value
+    takes a unit suffix (Hz/kHz/MHz/GHz and so on); unknown sections, keys or
+    units are rejected, and so is any value its parameter class refuses:
+    every failure is a :class:`ConfigError`.
     """
     parser = ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
+        unknown = set(parser.sections()) - _SECTIONS
+        if unknown:
+            raise ConfigError(f"unknown section(s) {sorted(unknown)}")
+        circuit = (_circuit_from_parser(parser)
+                   if parser.has_section("circuit") else None)
+        base, omega_b = _base_from_config(parser, circuit)
+        oracle = _oracle_from_config(parser)
+        swept = None
+        if parser.has_section("sweep"):
+            section = parser["sweep"]
+            _check_keys("sweep", section.keys(), _SWEEP_KEYS, _SWEEP_KEYS)
+            swept = SweepSpec(
+                base=base, parameter=section["parameter"].strip(),
+                grid=parse_grid(section["grid"]),
+                solvers=tuple(s.strip() for s in section["solvers"].split(",")),
+                oracle_config=oracle, omega_b=omega_b)
     except ConfigParserError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    known_sections = {"system", "circuit", "mechanical", "drive", "sweep",
-                      "oracle"}
-    unknown = set(parser.sections()) - known_sections
-    if unknown:
-        raise ConfigError(f"unknown section(s) {sorted(unknown)}")
-    base, omega_b = _base_from_config(parser)
-    if not parser.has_section("sweep"):
-        raise ConfigError("missing [sweep] section")
-    section = parser["sweep"]
-    _check_keys("sweep", section.keys(), _SWEEP_KEYS, _SWEEP_KEYS)
-    solvers = tuple(s.strip() for s in section["solvers"].split(","))
-    return SweepSpec(
-        base=base,
-        parameter=section["parameter"].strip(),
-        grid=parse_grid(section["grid"]),
-        solvers=solvers,
-        oracle_config=_oracle_from_config(parser),
-        omega_b=omega_b,
-    )
-
-
-def parse_system_config(text: str) -> tuple[SystemSpec, float | None,
-                                            fock.OracleConfig | None]:
-    """Parse a config that defines a single system point.
-
-    A ``[sweep]`` section is tolerated and ignored, so the point commands
-    accept the same file as ``sweep``.  Returns the base spec, the circuit
-    resonance frequency when one is defined (explicitly or through the
-    circuit route), and the oracle configuration when an [oracle] section
-    is present.
-    """
-    parser = ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        parser.read_string(text)
-    except ConfigParserError as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-    known_sections = {"system", "circuit", "mechanical", "drive", "oracle",
-                      "sweep"}
-    unknown = set(parser.sections()) - known_sections
-    if unknown:
-        raise ConfigError(f"unknown section(s) {sorted(unknown)}")
-    base, omega_b = _base_from_config(parser)
-    return base, omega_b, _oracle_from_config(parser)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return Config(base, omega_b, oracle, circuit, swept)
 
 
 def rescale_for_oracle(spec: SystemSpec, cap: float = 1.0) -> SystemSpec:
@@ -342,8 +326,8 @@ def _solve_gaussian(spec: SystemSpec) -> tuple[float | None, float | None, str]:
     rate_estimate = analytic.cooling_rate(spec) + spec.gamma0
     if rate_estimate <= 0 or spec.n_a0 <= n_f:
         return None, n_f, "steady state only (no decaying trajectory to fit)"
-    transient = 3.0 / (2.0 * math.pi * spec.kappa0)
-    duration = transient + 4.61 / (2.0 * math.pi * rate_estimate)
+    transient = 3.0 / (TWO_PI * spec.kappa0)
+    duration = transient + 4.61 / (TWO_PI * rate_estimate)
     trajectory = gaussian.evolve(
         model, gaussian.thermal_state(spec.n_a0, spec.n_b0), duration,
         num_points=600)

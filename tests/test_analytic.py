@@ -146,11 +146,3 @@ def test_static_coupling_means_no_cooling():
     static = replace(BENCHMARK, delta=-7.5e9)
     assert analytic.final_occupation(static) / BENCHMARK.n_a0 > 0.999
 
-
-def test_predict_bundles_rates_on_sideband():
-    prediction = analytic.predict(BENCHMARK)
-    assert prediction.resonant_rate == pytest.approx(4e6, rel=1e-12)
-    assert prediction.heating_rate == pytest.approx(1e4, rel=1e-12)
-    assert prediction.resonant_rate > prediction.heating_rate
-    off = analytic.predict(replace(BENCHMARK, delta=-15e6))
-    assert off.resonant_rate is None and off.heating_rate is None

@@ -181,6 +181,21 @@ def test_exit_code_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    SYSTEM_CONFIG.replace("g = 2 MHz", "g = -2 MHz"),
+    SYSTEM_CONFIG.replace("g = 2 MHz", "g = 1e999 MHz"),
+    SYSTEM_CONFIG + "[oracle]\ndims = a, b\n",
+    SYSTEM_CONFIG + "[oracle]\ndims = 1, 5\n",
+    SYSTEM_CONFIG + "[oracle]\ndims = 12, 6\ntail_threshold = x\n",
+    SYSTEM_CONFIG + "[oracle]\ndims = 12, 6\ntail_threshold = 2\n",
+], ids=["negative-g", "infinite-g", "dims-not-integers", "dims-too-small",
+        "tail-threshold-not-a-number", "tail-threshold-above-one"])
+def test_exit_code_config_value_error(tmp_path, capsys, text):
+    config = write(tmp_path, "bad.ini", text)
+    assert main(["steady", "--config", config]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_exit_code_solver_error(tmp_path):
     # blue-detuned strong coupling: the gaussian solver fails on every row
     config = write(tmp_path, "blue.ini", SYSTEM_CONFIG.replace(

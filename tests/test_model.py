@@ -248,6 +248,21 @@ def test_thermal_occupation_rejects_non_finite(name, value):
         thermal_occupation(**arguments)
 
 
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("function, arguments, name", [
+    (effective_temperature, {"spec": VALID_SPEC, "t0": 0.02, "f_b": 7.5e9},
+     "t0"),
+    (effective_temperature, {"spec": VALID_SPEC, "t0": 0.02, "f_b": 7.5e9},
+     "f_b"),
+    (implied_mass, {"frequency": 20e6, "delta_x0": 1e-13}, "frequency"),
+    (implied_mass, {"frequency": 20e6, "delta_x0": 1e-13}, "delta_x0"),
+])
+def test_derived_quantities_reject_non_finite(function, arguments, name,
+                                              value):
+    with pytest.raises(ValueError, match="must be finite"):
+        function(**{**arguments, name: value})
+
+
 def test_implied_mass_round_trip():
     mass = implied_mass(20e6, 2.8023e-13)
     spread = math.sqrt(hbar / (2 * mass * 2 * math.pi * 20e6))

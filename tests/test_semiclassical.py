@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_island_voltage_at_the_pole():
                 / (circuit.c_sigma0 * circuit.d0 * kappa_angular))
     assert abs(voltage) == pytest.approx(expected, rel=1e-9)
     # response sits in quadrature with the motion at the pole
-    assert cmath.phase(voltage / x) == pytest.approx(math.pi / 2, abs=1e-9)
+    assert cmath.phase(voltage / x) == pytest.approx(-math.pi / 2, abs=1e-9)
 
 
 def test_island_voltage_low_frequency_limit():
@@ -59,8 +60,8 @@ def test_island_voltage_low_frequency_limit():
     ratio = abs(v2) / abs(v1)
     assert ratio == pytest.approx(((120e6 + 20e6) / (50e6 + 20e6)) ** 2,
                                   rel=1e-3)
-    # force response opposes the motion far below resonance
-    assert cmath.phase(v1 / 1e-12) == pytest.approx(math.pi, abs=1e-3)
+    # the island follows the motion in phase far below resonance
+    assert cmath.phase(v1 / 1e-12) == pytest.approx(0.0, abs=1e-3)
 
 
 def test_island_voltage_vanishes_without_drive():
@@ -192,6 +193,17 @@ def test_mass_defaults_to_implied_value():
     assert heavy.effective_mass == 1e-15
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["plate_area", "drive_frequency",
+                                  "mech_frequency", "mass",
+                                  "vacuum_permittivity"])
+def test_semiclassical_params_reject_non_finite(name, value):
+    circuit = benchmark_circuit()
+    valid = params_at(circuit, lc_frequency(circuit) - 20e6)
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(valid, **{name: value})
+
+
 def test_inconsistent_plate_area_warns():
     circuit = benchmark_circuit()
     with pytest.warns(UserWarning):
@@ -206,8 +218,10 @@ def test_force_expansion_against_time_domain_lock_in():
     Drive the island equation of motion with the real modulated gate voltage
     2 v_c sin(w_d t) and a prescribed beam motion x0 cos(w_a t), evaluate the
     unexpanded capacitor force on the resulting trajectory, and lock in on
-    its components at the mechanical frequency.  No phasor algebra is shared
-    with the implementation under test.
+    its components at the mechanical frequency.  The island trajectory
+    itself is locked in at the upper sideband w_d + w_a, which pins the
+    sign of the island-voltage phasor.  No phasor algebra is shared with
+    the implementation under test.
     """
     f_a, f_b, kappa0 = 1e6, 25e6, 0.2e6
     circuit = CircuitParams(
@@ -259,3 +273,10 @@ def test_force_expansion_against_time_domain_lock_in():
         force * np.sin(w_a * times), times) / TWO_PI
     assert spring == pytest.approx(predicted.spring_shift, rel=5e-3)
     assert friction == pytest.approx(predicted.friction_rate, rel=1e-3)
+    # v_b = Im(V exp(i w t)) at w = w_d + w_a gives V = 2i/W int v_b e^{-iwt}
+    w_up = w_d + w_a
+    locked = 2j / window * np.trapezoid(island * np.exp(-1j * w_up * times),
+                                        times)
+    phasor = island_voltage(params, x0)
+    assert abs(locked) == pytest.approx(abs(phasor), rel=1e-3)
+    assert cmath.phase(locked / phasor) == pytest.approx(0.0, abs=1e-3)

@@ -9,10 +9,9 @@ from modcool.sweep import (
     SweepSpec,
     compare,
     emit_csv,
-    parse_config,
+    load_config,
     parse_grid,
     parse_quantity,
-    parse_system_config,
     render_csv,
     rescale_for_oracle,
     run_sweep,
@@ -77,7 +76,7 @@ def test_parse_quantity_units():
 
 
 def test_parse_config_minimal():
-    spec = parse_config(MINIMAL_CONFIG)
+    spec = load_config(MINIMAL_CONFIG).sweep
     assert spec.base == replace(BENCHMARK, n_b0=0.0)
     assert spec.parameter == "delta"
     assert spec.grid.size == 201
@@ -87,11 +86,11 @@ def test_parse_config_minimal():
 
 def test_parse_config_unit_canonicalisation():
     other = MINIMAL_CONFIG.replace("g = 2 MHz", "g = 2000 kHz")
-    assert parse_config(other).base == parse_config(MINIMAL_CONFIG).base
+    assert load_config(other).base == load_config(MINIMAL_CONFIG).base
 
 
 def test_parse_config_circuit_route():
-    spec = parse_config(CIRCUIT_CONFIG)
+    spec = load_config(CIRCUIT_CONFIG).sweep
     assert spec.base.omega_a == 20e6
     assert spec.base.delta == pytest.approx(-20e6, rel=1e-9)
     assert spec.base.g == pytest.approx(2e6, rel=1e-3)
@@ -103,14 +102,14 @@ def test_parse_config_circuit_route():
 def test_parse_config_rejects_unknown_key():
     bad = MINIMAL_CONFIG.replace("n_a0 = 20", "n_a0 = 20\nflux = 3")
     with pytest.raises(ConfigError) as err:
-        parse_config(bad)
+        load_config(bad)
     assert "flux" in str(err.value)
 
 
 def test_parse_config_rejects_missing_key():
     bad = MINIMAL_CONFIG.replace("kappa0 = 4 MHz\n", "")
     with pytest.raises(ConfigError) as err:
-        parse_config(bad)
+        load_config(bad)
     assert "kappa0" in str(err.value)
 
 
@@ -225,7 +224,7 @@ def test_render_csv_layout_and_missing_values():
 
 
 def test_csv_determinism(tmp_path):
-    spec = parse_config(MINIMAL_CONFIG)
+    spec = load_config(MINIMAL_CONFIG).sweep
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(run_sweep(spec), path_a, spec.solvers)
     emit_csv(run_sweep(spec), path_b, spec.solvers)
@@ -233,7 +232,7 @@ def test_csv_determinism(tmp_path):
 
 
 def test_parse_system_config_without_sweep_section():
-    base, omega_b, oracle_config = parse_system_config("""
+    base, omega_b, oracle_config, _, _ = load_config("""
 [system]
 omega_a = 1 Hz
 delta = -1 Hz
