@@ -7,54 +7,44 @@ Writes two plot-ready CSV files next to this script:
 * sweep_rate.csv -- cooling rate versus detuning from the quantum expression
   and from the semiclassical circuit theory, at the same couplings.
 
-Equivalent to the `modcool fig2` / `modcool fig3` commands.
+The files are the output of the `modcool fig2` / `modcool fig3` commands; the
+summary below is read back from them.
 """
-from dataclasses import replace
+import csv
 from pathlib import Path
 
 import numpy as np
 
-from modcool import SystemSpec, sweep
+from modcool import cli
 
-BASE = SystemSpec(omega_a=20e6, delta=-20e6, g=2e6, gamma0=2e3, kappa0=4e6,
-                  n_a0=20.0, n_b0=0.0)
-OMEGA_B = 7.5e9
-GRID = np.linspace(-1.5, -0.5, 201) * BASE.omega_a
 HERE = Path(__file__).parent
 
 
-def merged_sweep(solvers, omega_b):
-    rows, labels = None, []
-    for g in (2e6, 1e6):
-        spec = sweep.SweepSpec(base=replace(BASE, g=g), parameter="delta",
-                               grid=GRID, solvers=solvers, omega_b=omega_b)
-        result = sweep.run_sweep(spec)
-        tag = f"g{g / 1e6:g}MHz"
-        labels += [f"{s}-{tag}" for s in solvers]
-        if rows is None:
-            rows = [sweep.SweepRow(value=r.value, rates={}, occupations={},
-                                   diagnostics={}) for r in result]
-        for target, row in zip(rows, result):
-            for s in solvers:
-                target.rates[f"{s}-{tag}"] = row.rates[s]
-                target.occupations[f"{s}-{tag}"] = row.occupations[s]
-                target.diagnostics[f"{s}-{tag}"] = row.diagnostics[s]
-    return rows, tuple(labels)
+def figure_columns(command, path):
+    """Run one figure command into ``path`` and return its numeric columns."""
+    if cli.main([command, "--out", str(path)]) != 0:
+        raise SystemExit(f"modcool {command} failed")
+    with open(path, newline="") as handle:
+        records = list(csv.DictReader(handle))
+    return {key: np.array([float(r[key]) if r[key] else np.nan
+                           for r in records])
+            for key in records[0] if not key.startswith("diag_")}
 
 
-rows, labels = merged_sweep(("analytic", "analytic-rwa"), None)
-sweep.emit_csv(rows, HERE / "sweep_occupation.csv", labels)
-occupations = np.array([r.occupations["analytic-g2MHz"] for r in rows])
+out = HERE / "sweep_occupation.csv"
+columns = figure_columns("fig2", out)
+occupations = columns["n_f_analytic-g2MHz"]
 best = int(np.argmin(occupations))
-print(f"occupation sweep written to {HERE / 'sweep_occupation.csv'}")
+print(f"occupation sweep written to {out}")
 print(f"  deepest cooling n_f = {occupations[best]:.5f} at "
-      f"|delta|/omega_a = {abs(GRID[best]) / BASE.omega_a:.3f}")
+      f"|delta|/omega_a = "
+      f"{abs(columns['swept_value'][best]) / cli.FIGURE_BASE.omega_a:.3f}")
 
-rows, labels = merged_sweep(("analytic", "semiclassical"), OMEGA_B)
-sweep.emit_csv(rows, HERE / "sweep_rate.csv", labels)
-quantum = np.array([r.rates["analytic-g2MHz"] for r in rows])
-circuit = np.array([r.rates["semiclassical-g2MHz"] for r in rows])
-print(f"rate sweep written to {HERE / 'sweep_rate.csv'}")
+out = HERE / "sweep_rate.csv"
+columns = figure_columns("fig3", out)
+quantum = columns["gamma_c_analytic-g2MHz"]
+circuit = columns["gamma_c_semiclassical-g2MHz"]
+print(f"rate sweep written to {out}")
 print(f"  peak quantum rate      {quantum.max():.4e} Hz")
 print(f"  peak semiclassical rate {circuit.max():.4e} Hz")
 print(f"  largest gap between the curves: "

@@ -52,20 +52,21 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _load(args) -> sweep.Config:
-    """Parse ``--config`` once, applying ``--scaled`` to the point and sweep."""
+    """Parse ``--config`` once, then apply ``--grid`` and ``--scaled``."""
     if args.config is None:
         raise ConfigError(f"{args.command} needs --config")
     with open(args.config, "r") as handle:
         text = handle.read()
     config = sweep.load_config(text)
-    if not getattr(args, "scaled", False):
-        return config
-    # The rescaled spec lives in units of omega_a; a circuit resonance
-    # expressed in Hz no longer applies, so drop it.
-    base = sweep.rescale_for_oracle(config.base)
-    swept = (None if config.sweep is None
-             else replace(config.sweep, base=base, omega_b=None))
-    return config._replace(base=base, omega_b=None, sweep=swept)
+    swept = config.sweep
+    if swept is not None and getattr(args, "grid", None) is not None:
+        swept = replace(swept, grid=sweep.parse_grid(args.grid))
+    if getattr(args, "scaled", False):
+        # In units of omega_a a circuit resonance in Hz no longer applies.
+        return config._replace(
+            base=sweep.rescale_for_oracle(config.base), omega_b=None,
+            sweep=None if swept is None else sweep.rescale_sweep(swept))
+    return config._replace(sweep=swept)
 
 
 def _cmd_steady(args) -> int:
@@ -85,7 +86,7 @@ def _cmd_steady(args) -> int:
         print(f"{solver:<14s} gamma_c = {rate_text:<16s} n_f = {occ_text}"
               + (f"   [{note}]" if note else ""))
     if args.out is not None:
-        sweep.emit_csv(rows, args.out, solvers)
+        _write_text(args.out, sweep.render_csv(rows, solvers))
     if all(row.rates[s] is None and row.occupations[s] is None
            for s in solvers):
         return 2
@@ -115,8 +116,6 @@ def _cmd_sweep(args) -> int:
     spec = _load(args).sweep
     if spec is None:
         raise ConfigError("missing [sweep] section")
-    if args.grid is not None:
-        spec = replace(spec, grid=sweep.parse_grid(args.grid))
     if args.solvers is not None:
         spec = replace(spec, solvers=_default_solvers(args.solvers))
     rows = sweep.run_sweep(spec)

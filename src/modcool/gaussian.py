@@ -12,8 +12,8 @@ numerically (see :func:`evolve`).
 
 The :class:`~modcool.model.SystemSpec` carries ordinary frequencies in Hz;
 the drift and diffusion matrices are assembled in angular units (1/s) so
-trajectories are parameterised by laboratory time in seconds.  Fitted decay
-rates are converted back to Hz.
+trajectories are parameterised by laboratory time in seconds.  Decay rates,
+from the drift spectrum or from a fit, are converted back to Hz.
 """
 
 from __future__ import annotations
@@ -98,12 +98,17 @@ class CovarianceState:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Drift eigenvalues (1/s) with the Hurwitz verdict."""
+    """Drift eigenvalues (1/s) with the Hurwitz verdict.
+
+    The slowest second moment decays at -2 ``margin``, and ``mechanical_weight``
+    is the share of (X_a, P_a) in the eigenvector of the slowest eigenvalue:
+    1 for a bare beam mode, 0.5 where beam and circuit hybridise.
+    """
 
     eigenvalues: np.ndarray
     hurwitz: bool
-    margin: float            # largest real part; negative when Hurwitz
-    stiffness_ratio: float   # max|eig| / min|Re eig|, inf on the imaginary axis
+    margin: float             # largest real part; negative when Hurwitz
+    mechanical_weight: float  # in [0, 1]; see above
 
 
 @dataclass(frozen=True)
@@ -177,17 +182,15 @@ def build_drift(spec: SystemSpec) -> DriftModel:
 
 
 def stability(model: DriftModel) -> StabilityReport:
-    """Eigenvalues of the drift matrix and the Hurwitz flag."""
-    eigenvalues = np.linalg.eigvals(model.drift)
-    margin = float(np.max(eigenvalues.real))
-    min_decay = float(np.min(np.abs(eigenvalues.real)))
-    max_mag = float(np.max(np.abs(eigenvalues)))
-    ratio = math.inf if min_decay == 0 else max_mag / min_decay
+    """Eigenpairs of the drift matrix: Hurwitz flag, margin, mechanical weight."""
+    eigenvalues, vectors = np.linalg.eig(model.drift)
+    slowest = int(np.argmax(eigenvalues.real))
+    margin = float(eigenvalues.real[slowest])
     return StabilityReport(
         eigenvalues=eigenvalues,
         hurwitz=bool(margin < 0),
         margin=margin,
-        stiffness_ratio=ratio,
+        mechanical_weight=float(np.sum(np.abs(vectors[:2, slowest]) ** 2)),
     )
 
 

@@ -99,6 +99,13 @@ class SweepSpec:
             raise ConfigError("at least one solver must be selected")
         if "oracle" in self.solvers and self.oracle_config is None:
             raise ConfigError("the oracle solver requires an [oracle] section")
+        # The grid is monotone and every SystemSpec bound is an interval, so
+        # the two endpoints stand for every point.
+        for value in (grid[0], grid[-1]):
+            try:
+                replace(self.base, **{self.parameter: float(value)})
+            except ValueError as exc:
+                raise ConfigError(f"sweep grid value {value}: {exc}") from exc
         object.__setattr__(self, "grid", grid)
 
 
@@ -304,8 +311,12 @@ def rescale_for_oracle(spec: SystemSpec, cap: float = 1.0) -> SystemSpec:
     )
 
 
-def _format_unstable(report: gaussian.StabilityReport) -> str:
-    return f"unstable drift (max Re eig = {report.margin:.4e} 1/s)"
+def rescale_sweep(spec: SweepSpec) -> SweepSpec:
+    """:func:`rescale_for_oracle` for a sweep: a frequency-valued grid is
+    divided by the same omega_a, an n_a0 grid is kept, omega_b is dropped."""
+    scale = 1.0 if spec.parameter == "n_a0" else spec.base.omega_a
+    return replace(spec, base=rescale_for_oracle(spec.base),
+                   grid=spec.grid / scale, omega_b=None)
 
 
 def _solve_analytic(spec: SystemSpec) -> tuple[float | None, float | None, str]:
@@ -321,23 +332,12 @@ def _solve_gaussian(spec: SystemSpec) -> tuple[float | None, float | None, str]:
     model = gaussian.build_drift(spec)
     report = gaussian.stability(model)
     if not report.hurwitz:
-        return None, None, _format_unstable(report)
+        return (None, None,
+                f"unstable drift (max Re eig = {report.margin:.4e} 1/s)")
     n_f = gaussian.occupation(gaussian.steady_state(model), "a")
-    rate_estimate = analytic.cooling_rate(spec) + spec.gamma0
-    if rate_estimate <= 0 or spec.n_a0 <= n_f:
-        return None, n_f, "steady state only (no decaying trajectory to fit)"
-    transient = 3.0 / (TWO_PI * spec.kappa0)
-    duration = transient + 4.61 / (TWO_PI * rate_estimate)
-    trajectory = gaussian.evolve(
-        model, gaussian.thermal_state(spec.n_a0, spec.n_b0), duration,
-        num_points=600)
-    try:
-        fit = gaussian.fit_cooling_rate(trajectory)
-    except gaussian.FitError as exc:
-        return None, n_f, f"rate fit failed: {exc}"
-    note = (f"fit residual {fit.residual:.2e}"
-            + ("; flagged oscillatory" if fit.flagged else ""))
-    return fit.rate, n_f, note
+    # The slowest second moment decays at twice the slowest drift rate.
+    return (-2.0 * report.margin / TWO_PI, n_f,
+            f"drift spectrum; mechanical weight {report.mechanical_weight:.3f}")
 
 
 def _solve_oracle(spec: SystemSpec,
@@ -424,17 +424,6 @@ def render_csv(rows: list[SweepRow], solvers: tuple[str, ...]) -> str:
         record += [row.diagnostics.get(solver, "") for solver in solvers]
         writer.writerow(record)
     return buffer.getvalue()
-
-
-def emit_csv(rows: list[SweepRow], destination,
-             solvers: tuple[str, ...]) -> None:
-    """Write :func:`render_csv` output to a path or file object."""
-    text = render_csv(rows, solvers)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", newline="") as handle:
-            handle.write(text)
 
 
 @dataclass(frozen=True)

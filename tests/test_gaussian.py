@@ -125,7 +125,12 @@ def test_stability_report():
     report_closed = stability(build_drift(closed))
     assert not report_closed.hurwitz
     assert np.all(report_closed.eigenvalues.real == 0.0)
-    assert math.isinf(report_closed.stiffness_ratio)
+    # On the sideband at 2 MHz the slowest eigenmode is half beam, half
+    # circuit; weakly coupled far from it, it is the bare beam mode.
+    assert stability(build_drift(BENCHMARK)).mechanical_weight == pytest.approx(
+        0.5, abs=0.01)
+    detuned = replace(BENCHMARK, g=0.2e6, delta=-1.5 * BENCHMARK.omega_a)
+    assert stability(build_drift(detuned)).mechanical_weight > 0.99
 
 
 def test_blue_detuning_instability_sets_in_with_coupling():

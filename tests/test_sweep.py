@@ -1,19 +1,20 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modcool import SystemSpec, analytic, fock, sweep
+from modcool import SystemSpec, analytic, fock, gaussian, sweep
 from modcool.sweep import (
     ConfigError,
     SweepSpec,
     compare,
-    emit_csv,
     load_config,
     parse_grid,
     parse_quantity,
     render_csv,
     rescale_for_oracle,
+    rescale_sweep,
     run_sweep,
 )
 
@@ -140,6 +141,23 @@ def test_sweep_spec_validation():
                   solvers=("oracle",))
 
 
+@pytest.mark.parametrize("parameter, grid", [
+    ("delta", [math.inf]),
+    ("delta", [math.nan]),
+    ("delta", [-30e6, math.inf]),
+    ("g", [-1e6, 1e6]),
+    ("g", [1e6, -1e6]),
+    ("kappa0", [-math.inf]),
+    ("gamma0", [1e3, -1e3]),
+    ("n_a0", [-1.0, 0.0, 1.0]),
+], ids=["inf", "nan", "inf-end", "negative-g-start", "negative-g-end",
+        "minus-inf-kappa0", "negative-gamma0", "negative-n_a0"])
+def test_sweep_spec_rejects_bad_grid_values(parameter, grid):
+    with pytest.raises(ConfigError, match="sweep grid value"):
+        SweepSpec(base=BENCHMARK, parameter=parameter, grid=np.array(grid),
+                  solvers=("analytic",))
+
+
 def test_run_sweep_single_point_matches_direct_calls():
     spec = SweepSpec(base=BENCHMARK, parameter="delta",
                      grid=np.array([-20e6]), solvers=("analytic",))
@@ -194,6 +212,65 @@ def test_run_sweep_gaussian_and_semiclassical():
         4 * BENCHMARK.g ** 2 / BENCHMARK.kappa0, rel=1e-9)
 
 
+def _drift_spectrum_rate(spec: SystemSpec) -> float:
+    """-2 max Re eig(A) / 2 pi of a quadrature drift built independently."""
+    w_a, d, g, ga, ka = (2 * math.pi * x for x in (
+        spec.omega_a, spec.delta, spec.g, spec.gamma0, spec.kappa0))
+    drift = np.array([
+        [-ga / 2, w_a, 0, 0],
+        [-w_a, -ga / 2, -2 * g, 0],
+        [0, 0, -ka / 2, -d],
+        [-2 * g, 0, d, -ka / 2],
+    ])
+    return -2 * float(np.max(np.linalg.eigvals(drift).real)) / (2 * math.pi)
+
+
+def _gaussian_rows(base: SystemSpec, grid) -> list:
+    return run_sweep(SweepSpec(base=base, parameter="delta",
+                               grid=np.asarray(grid, dtype=float),
+                               solvers=("gaussian",)))
+
+
+def test_gaussian_sweep_rate_is_the_drift_spectrum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep must not propagate or fit")
+
+    monkeypatch.setattr(gaussian, "evolve", refuse)
+    monkeypatch.setattr(gaussian, "fit_cooling_rate", refuse)
+    grid = np.linspace(-1.5, -0.5, 11) * BENCHMARK.omega_a
+    for row in _gaussian_rows(BENCHMARK, grid):
+        want = _drift_spectrum_rate(replace(BENCHMARK, delta=row.value))
+        assert row.rates["gaussian"] == pytest.approx(want, rel=1e-12)
+        assert row.diagnostics["gaussian"].startswith(
+            "drift spectrum; mechanical weight ")
+
+
+def test_gaussian_sweep_rate_on_the_hybridised_sideband():
+    # Beam and circuit share the slowest eigenmode equally; both normal
+    # modes decay at (kappa0 + gamma0) / 4, so the energy at twice that.
+    row = _gaussian_rows(BENCHMARK, [-BENCHMARK.omega_a])[0]
+    assert row.rates["gaussian"] == pytest.approx(
+        (BENCHMARK.kappa0 + BENCHMARK.gamma0) / 2, rel=1e-9)
+    assert row.diagnostics["gaussian"] == ("drift spectrum; "
+                                           "mechanical weight 0.500")
+
+
+@pytest.mark.parametrize("g, detuning, rtol", [
+    (2e6, -1.5, 0.02), (2e6, -1.3, 0.02), (2e6, -0.7, 0.02),
+    (2e6, -0.5, 0.02), (0.2e6, -1.0, 1e-3),
+])
+def test_gaussian_sweep_rate_matches_an_unflagged_fit(g, detuning, rtol):
+    spec = replace(BENCHMARK, g=g, delta=detuning * BENCHMARK.omega_a)
+    rate = _gaussian_rows(spec, [spec.delta])[0].rates["gaussian"]
+    duration = 3 / (2 * math.pi * spec.kappa0) + 6.9 / (2 * math.pi * rate)
+    trajectory = gaussian.evolve(gaussian.build_drift(spec),
+                                 gaussian.thermal_state(spec.n_a0, 0.0),
+                                 duration, num_points=800)
+    fit = gaussian.fit_cooling_rate(trajectory)
+    assert not fit.flagged
+    assert rate == pytest.approx(fit.rate, rel=rtol)
+
+
 def test_run_sweep_with_oracle_solver(scaled):
     spec = SweepSpec(base=scaled, parameter="g",
                      grid=np.array([0.01, 0.02]),
@@ -223,12 +300,10 @@ def test_render_csv_layout_and_missing_values():
     assert len(first[6]) > 0                  # ... carry a diagnostic
 
 
-def test_csv_determinism(tmp_path):
+def test_csv_determinism():
     spec = load_config(MINIMAL_CONFIG).sweep
-    path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(run_sweep(spec), path_a, spec.solvers)
-    emit_csv(run_sweep(spec), path_b, spec.solvers)
-    assert path_a.read_bytes() == path_b.read_bytes()
+    assert (render_csv(run_sweep(spec), spec.solvers)
+            == render_csv(run_sweep(spec), spec.solvers))
 
 
 def test_parse_system_config_without_sweep_section():
@@ -264,6 +339,18 @@ def test_rescale_for_oracle():
     assert floor + (unit - analytic.final_occupation(
         replace(scaled, n_a0=0.0))) * BENCHMARK.n_a0 == pytest.approx(
         full, rel=1e-12)
+
+
+def test_rescale_sweep():
+    spec = SweepSpec(base=BENCHMARK, parameter="g",
+                     grid=np.array([1e6, 2e6]), solvers=("analytic",),
+                     omega_b=7.5e9)
+    scaled = rescale_sweep(spec)
+    assert scaled.base == rescale_for_oracle(BENCHMARK)
+    np.testing.assert_allclose(scaled.grid, [0.05, 0.1], rtol=1e-15)
+    assert scaled.omega_b is None
+    bath = replace(spec, parameter="n_a0", grid=np.array([0.5, 4.0]))
+    assert rescale_sweep(bath).grid.tolist() == [0.5, 4.0]
 
 
 def test_compare_report(scaled):
