@@ -4,9 +4,9 @@ The rotating-frame Hamiltonian with the bilinear coupling (optionally with
 its pair-creation part dropped) and local thermal dissipators is assembled
 as a sparse Liouvillian acting on column-stacked density matrices.  The
 module exists to verify the Gaussian solver and the closed-form results by a
-completely independent route.  Stationary states come from GMRES
-preconditioned by the LU factor of the RWA Liouvillian (full LU where that
-is too weak); trajectories are ``expm(L t) rho0`` on a uniform time grid.
+completely independent route.  Stationary states come from GMRES in the
+even-k sector preconditioned by the LU factor of the RWA Liouvillian (own LU
+where that is too weak); trajectories are ``expm(L t) rho0`` on a time grid.
 
 Frequencies in the :class:`~modcool.model.SystemSpec` are ordinary (Hz) and
 are converted to angular units here; evolution times are seconds.  Stationary
@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,14 +34,18 @@ POSITIVITY_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
 
 # Stationary route.  A solve needing more GMRES iterations than the budget
-# marks a weak preconditioner: at dims (14, 7) the full LU then costs less
-# (it matches 20-50 iterations per gap solve).  The gap's Krylov dimension
+# marks a weak preconditioner: at dims (14, 7) the even block's LU then costs
+# less (it matches 20-50 iterations per gap solve).  The odd block's LU costs
+# about 500, so its one solve gets ten budgets.  The gap's Krylov dimension
 # needs the fewest solves over g = 0.02-0.05 there.
 _GMRES_RTOL = 1e-13
 _GAP_SOLVE_RTOL = 1e-10
 _GMRES_BUDGET = 30
-_GAP_NCV = 12
+_GAP_NCV = 13
 _GAP_TOL = 1e-10
+# Minimum degree on A + A^T, diagonal pivots: a third less fill than COLAMD.
+_LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+               "options": {"SymmetricMode": True}}
 
 logger = logging.getLogger(__name__)
 
@@ -118,6 +123,16 @@ class FockGenerator:
     spec: SystemSpec
     config: OracleConfig
     matrix: sp.csr_matrix
+
+    @cached_property
+    def rwa(self) -> FockGenerator:
+        """This model without the pair-creation term; kept, with its LUs."""
+        return build_generator(self.spec, replace(
+            self.config, include_counter_rotating=False))
+
+    @cached_property
+    def _factors(self) -> list:
+        return [splu(block, **_LU_OPTIONS) for _, block in _sectors(self)]
 
 
 @dataclass(frozen=True)
@@ -251,13 +266,13 @@ def _check_positive(state: DensityState) -> None:
             f"density matrix has eigenvalue {floor:.3e} below -{POSITIVITY_TOL}")
 
 
-def _check_gap(spec: SystemSpec, gap: float) -> None:
+def _check_gap(spec: SystemSpec, gap: float, what: str) -> None:
     omega_a, _, _, gamma0, kappa0 = angular_rates(spec)
     rates = [r for r in (gamma0, kappa0) if r > 0]
     reference = min(rates) if rates else omega_a
     if not gap >= 1e-7 * reference:
         raise DegenerateSteadyStateError(
-            f"stationary subspace is degenerate: spectral gap {gap:.3e} 1/s "
+            f"stationary subspace is degenerate: {what} {gap:.3e} 1/s "
             f"(slowest dissipation scale {reference:.3e} 1/s)")
 
 
@@ -265,13 +280,20 @@ class _KrylovFailed(Exception):
     """A preconditioned solve did not converge within the GMRES budget."""
 
 
-def _trace_pinned(matrix: sp.csr_matrix) -> sp.csc_matrix:
-    """``L`` with row 0 (redundant by trace preservation) set to the trace."""
-    n = math.isqrt(matrix.shape[0])
-    trace_row = sp.csr_matrix(
-        (np.ones(n), (np.zeros(n, dtype=int), np.arange(n) * (n + 1))),
-        shape=(1, n * n), dtype=complex)
-    return sp.vstack([trace_row, matrix[1:, :]], format="csc")
+def _sectors(generator: FockGenerator) -> list[tuple[np.ndarray, sp.csc_matrix]]:
+    """Index and block of ``L`` for even and odd k = N(i) - N(j) of |i><j|
+    (N counts both modes' excitations; ``L`` moves k by 0 or +-2: B. Buca and
+    T. Prosen, New J. Phys. 14, 073007 (2012)).  Row 0 becomes the trace."""
+    n_a, n_b = generator.config.dims
+    excitations = np.add.outer(np.arange(n_a), np.arange(n_b)).ravel()
+    odd = np.add.outer(excitations, excitations).ravel() % 2 == 1
+    rows, cols = generator.matrix.nonzero()
+    if np.any(odd[rows] != odd[cols]):
+        raise ValueError("the Liouvillian couples the even and odd sectors")
+    trace_row = sp.csr_matrix(np.eye(n_a * n_b).reshape(1, -1))
+    pinned = sp.vstack([trace_row, generator.matrix[1:, :]], format="csr")
+    return [(index, pinned[index][:, index].tocsc())
+            for index in (np.flatnonzero(~odd), np.flatnonzero(odd))]
 
 
 def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
@@ -280,12 +302,12 @@ def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
     preconditioner = LinearOperator(pinned.shape, matvec=factor.solve,
                                     dtype=complex)
 
-    def solve(rhs: np.ndarray, rtol: float) -> np.ndarray:
+    def solve(rhs: np.ndarray, rtol: float, budget: int = _GMRES_BUDGET):
         iterations.append(0)
 
         def count(_residual) -> None:
             iterations[-1] += 1
-            if iterations[-1] > _GMRES_BUDGET:
+            if iterations[-1] > budget:
                 raise _KrylovFailed
 
         solution, info = gmres(pinned, rhs, rtol=rtol, restart=_GMRES_BUDGET,
@@ -298,13 +320,36 @@ def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
     return solve
 
 
+def _sector_solve(generator: FockGenerator, parity: int,
+                  block: sp.csc_matrix, iterations: list[int], job):
+    """Route and ``job(solve)`` on one sector block: its RWA factor ("lu"),
+    GMRES preconditioned by it ("krylov"), else its own LU ("lu-fallback")."""
+    full = generator.config.include_counter_rotating
+    rwa = generator.rwa if full else generator  # an RWA model is its own
+    for route in (["krylov", "lu-fallback"] if full else ["lu"]):
+        try:
+            factor = (splu(block, **_LU_OPTIONS) if route == "lu-fallback"
+                      else rwa._factors[parity])
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            continue
+        solve = (_gmres_solver(block, factor, iterations) if route == "krylov"
+                 else lambda rhs, *_, lu=factor: lu.solve(rhs))
+        try:
+            return route, job(solve)
+        except _KrylovFailed:
+            continue
+    raise DegenerateSteadyStateError(
+        "stationary subspace is degenerate: the trace-pinned Liouvillian "
+        "is exactly singular")
+
+
 def _stationary(solve, size: int,
                 check_unique: bool) -> tuple[np.ndarray, float | None]:
     """Stationary vector and optional gap, with ``solve(rhs, rtol) = A^-1 rhs``.
 
     ``B(v) = A^-1 [0; v[1:]]`` is ``L^-1`` on traceless vectors and maps all
     vectors to traceless ones, so its largest |eigenvalue| is 1/gap.  The
-    all-ones Arnoldi start vector reaches every coherence sector.
+    all-ones Arnoldi start vector reaches every coherence sector of A.
     """
     vector = solve(np.eye(1, size, dtype=complex)[0], _GMRES_RTOL)
     if not check_unique:
@@ -323,52 +368,46 @@ def steady_state(generator: FockGenerator, residual_tol: float = 1e-10,
                  check_unique: bool = True) -> DensityState:
     """Stationary density matrix of the Liouvillian ``L``.
 
-    ``A x = e_0`` (``L`` with row 0 set to the trace functional) is solved by
-    GMRES preconditioned by the LU factor of the pinned RWA part of ``L``
-    (P. D. Nation, arXiv:1504.06768); without a pair-creation term that
-    factor is exact.  Past the GMRES budget, or with a singular RWA factor,
-    the full pinned ``L`` is factored instead.  With ``check_unique`` the
-    spectral gap comes from the same solves; a (near-)degenerate stationary
-    subspace or a singular full factor raises
-    :class:`DegenerateSteadyStateError`.  The unit-trace state must meet
-    ``||L(rho)||_tr <= residual_tol`` (relative to max |L|) and the tail
-    check.  Route, GMRES iterations, residual and gap are logged at DEBUG.
+    The state lies in the even-k block of ``L`` (:func:`_sectors`): ``A x =
+    e_0`` (that block, row 0 the trace) is solved by GMRES preconditioned by
+    the LU of the same block of the RWA part of ``L`` (P. D. Nation,
+    arXiv:1504.06768), exact without a pair-creation term, else by the LU of
+    ``A``.  With ``check_unique`` the gap comes from the same solves, and
+    ``x = L_oo^-1 v``, ``v`` a seeded complex Gaussian of size m, bounds
+    sigma_min(L_oo) >= (theta |v| - |v - L_oo x|) / |x| but for a chance
+    below m theta^2 = 1e-6 (J. D. Dixon, SIAM J. Numer. Anal. 20, 812
+    (1983)).  A gap or bound under 1e-7 of the slowest dissipation rate, or a
+    singular LU, raises :class:`DegenerateSteadyStateError`.  The state must
+    meet ``||L(rho)||_tr <= residual_tol`` (relative to max |L|) and the tail
+    check; route, iterations, residual, gap, sectors and bound go to DEBUG.
     """
     config = generator.config
-    pinned = _trace_pinned(generator.matrix)
-    routes = [("lu", pinned)]
-    if config.include_counter_rotating:
-        routes = [("krylov", _trace_pinned(_liouvillian(
-            generator.spec, replace(config, include_counter_rotating=False)))),
-            ("lu-fallback", pinned)]
+    (even, even_block), (odd, odd_block) = _sectors(generator)
     iterations: list[int] = []
-    for route, matrix in routes:
-        try:
-            factor = splu(matrix)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            continue
-        solve = (_gmres_solver(pinned, factor, iterations)
-                 if matrix is not pinned
-                 else lambda rhs, _rtol, lu=factor: lu.solve(rhs))
-        try:
-            vector, gap = _stationary(solve, pinned.shape[0], check_unique)
-            break
-        except _KrylovFailed:
-            continue
-    else:
-        raise DegenerateSteadyStateError(
-            "stationary subspace is degenerate: the trace-pinned Liouvillian "
-            "is exactly singular")
-    if gap is not None:
-        _check_gap(generator.spec, gap)
+    route, (vector, gap) = _sector_solve(
+        generator, 0, even_block, iterations,
+        lambda solve: _stationary(solve, even.size, check_unique))
+    odd_bound = None
+    if check_unique:
+        _check_gap(generator.spec, gap, "spectral gap")
+        v = np.random.default_rng(0).standard_normal(2 * odd.size).view(complex)
+        _, x = _sector_solve(generator, 1, odd_block, iterations, lambda solve:
+                             solve(v, _GAP_SOLVE_RTOL, 10 * _GMRES_BUDGET))
+        theta = math.sqrt(1e-6 / odd.size)  # 1e-6: the failure probability
+        odd_bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
+            v - odd_block @ x)) / np.linalg.norm(x))
+        _check_gap(generator.spec, odd_bound, "odd-sector singular value")
     n = config.dims[0] * config.dims[1]
-    rho = _hermitize(_unvec(vector, n))
+    rho = np.zeros(n * n, dtype=complex)
+    rho[even] = vector
+    rho = _hermitize(_unvec(rho, n))
     rho = rho / rho.trace().real
     tolerance = residual_tol * max(1.0, np.abs(generator.matrix.data).max())
     resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
                                 compute_uv=False).sum())
     logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "
-                 "gap=%s", route, sum(iterations), resid, gap)
+                 "gap=%s sectors=%d/%d odd_bound=%s", route, sum(iterations),
+                 resid, gap, even.size, odd.size, odd_bound)
     if not resid <= tolerance:
         raise RuntimeError(
             f"stationary residual {resid:.3e} exceeds {tolerance:.3e}")

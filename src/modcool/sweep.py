@@ -489,10 +489,10 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
     occupations["gaussian"] = gaussian.occupation(
         gaussian.steady_state(gaussian.build_drift(spec)), "a")
 
-    full_config = replace(oracle_config, include_counter_rotating=True)
-    rwa_config = replace(oracle_config, include_counter_rotating=False)
-    full_state = fock.steady_state(fock.build_generator(spec, full_config))
-    rwa_state = fock.steady_state(fock.build_generator(spec, rwa_config))
+    full = fock.build_generator(
+        spec, replace(oracle_config, include_counter_rotating=True))
+    full_state = fock.steady_state(full)
+    rwa_state = fock.steady_state(full.rwa)  # reuses the RWA sector factors
     occupations["oracle-full"] = fock.mode_occupation(full_state, "a")
     occupations["oracle-rwa"] = fock.mode_occupation(rwa_state, "a")
     tails = fock.truncation_check(full_state, oracle_config.tail_threshold)

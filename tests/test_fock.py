@@ -1,9 +1,12 @@
+import gc
 import logging
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from modcool import SystemSpec, analytic, fock, gaussian
@@ -117,6 +120,18 @@ def test_doubling_dims_does_not_move_occupations(scaled):
                - mode_occupation(small, "a")) <= budget
 
 
+def excitation_difference(dims):
+    """k = N(i) - N(j) of every basis element |i><j|, in column stacking."""
+    n_a, n_b = dims
+    excitations = [a + b for a in range(n_a) for b in range(n_b)]
+    return np.array([e_i - e_j for e_j in excitations for e_i in excitations])
+
+
+def parity_sectors(dims):
+    k = excitation_difference(dims)
+    return np.flatnonzero(k % 2 == 0), np.flatnonzero(k % 2 == 1)
+
+
 def pinned_direct_solve(generator):
     """Stationary density matrix from one sparse LU solve, independent of fock.
 
@@ -170,6 +185,80 @@ def test_gap_matches_dense_spectrum(g, counter_rotating, route, caplog):
     rates = np.sort(np.abs(np.linalg.eigvals(generator.matrix.toarray())))
     assert rates[0] <= 1e-10 * rates[-1]
     assert float(fields["gap"]) == pytest.approx(rates[1], rel=1e-8)
+    # The state and the gap come from the even sector; the odd sector only
+    # bounds its smallest singular value from below.
+    even, odd = parity_sectors(config.dims)
+    assert fields["sectors"] == f"{even.size}/{odd.size}"
+    dense = generator.matrix.toarray()
+    even_rates = np.sort(np.abs(np.linalg.eigvals(dense[np.ix_(even, even)])))
+    assert float(fields["gap"]) == pytest.approx(even_rates[1], rel=1e-8)
+    odd_sigma = np.linalg.svd(dense[np.ix_(odd, odd)], compute_uv=False)[-1]
+    assert 0 < float(fields["odd_bound"]) <= odd_sigma
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-13])
+@pytest.mark.parametrize("g, counter_rotating", [
+    (0.02, True), (0.2, True), (0.2, False)])
+def test_traceless_odd_kernel_is_degenerate(g, counter_rotating, scale):
+    # A zero column makes its basis element |i><j| (k odd) stationary, a
+    # tiny one nearly so.  The even sector, where the state and the gap
+    # come from, is untouched: only the odd-sector solve can see it.
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
+                      kappa0=0.3, n_a0=0.05, n_b0=0.0)
+    config = OracleConfig(dims=(6, 4), include_counter_rotating=counter_rotating,
+                          tail_threshold=1e-4)
+    matrix = build_generator(spec, config).matrix.tolil()
+    column = parity_sectors(config.dims)[1][3]
+    matrix[:, column] = scale * matrix[:, column]
+    generator = fock.FockGenerator(spec=spec, config=config,
+                                   matrix=matrix.tocsr())
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(generator)
+
+
+def test_generators_are_freed_without_the_cycle_collector():
+    # The factors kept on a generator must go with it: a reference cycle
+    # would hold them until a full collection, so memory would grow with
+    # every oracle point.
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=0.05,
+                      kappa0=0.3, n_a0=0.05, n_b0=0.0)
+    gc.disable()
+    try:
+        full = build_generator(spec, OracleConfig(dims=(6, 4),
+                                                  tail_threshold=1e-4))
+        steady_state(full)
+        steady_state(full.rwa)
+        refs = [weakref.ref(full), weakref.ref(full.rwa)]
+        del full
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_parity_coupling_liouvillian_is_rejected(scaled):
+    config = OracleConfig(dims=(4, 3))
+    matrix = build_generator(scaled, config).matrix.tolil()
+    even, odd = parity_sectors(config.dims)
+    matrix[even[1], odd[0]] = 1e-3
+    generator = fock.FockGenerator(spec=scaled, config=config,
+                                   matrix=matrix.tocsr())
+    with pytest.raises(ValueError, match="even and odd"):
+        steady_state(generator)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(dims=st.tuples(st.integers(2, 5), st.integers(2, 4)),
+       rates=st.lists(st.floats(0.0, 2.0), min_size=7, max_size=7),
+       counter_rotating=st.booleans())
+def test_liouvillian_changes_k_by_zero_or_two(dims, rates, counter_rotating):
+    omega_a, delta, g, gamma0, kappa0, n_a0, n_b0 = rates
+    spec = SystemSpec(omega_a=omega_a + 0.1, delta=-delta, g=g, gamma0=gamma0,
+                      kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
+    config = OracleConfig(dims=dims, include_counter_rotating=counter_rotating)
+    rows, cols = build_generator(spec, config).matrix.nonzero()
+    k = excitation_difference(dims)
+    allowed = {-2, 0, 2} if counter_rotating else {0}
+    assert set(np.unique(k[rows] - k[cols])) <= allowed
 
 
 def test_steady_state_log_is_silent_by_default(scaled, caplog):

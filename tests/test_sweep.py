@@ -366,6 +366,28 @@ def test_compare_report(scaled):
     assert "oracle-full" in text and "relative difference" in text
 
 
+def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
+    builds, factors = [], []
+    liouvillian, splu = fock._liouvillian, fock.splu
+
+    def counted_liouvillian(spec, config):
+        builds.append(config.include_counter_rotating)
+        return liouvillian(spec, config)
+
+    def counted_splu(matrix, **kwargs):
+        factors.append(matrix.shape)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(fock, "_liouvillian", counted_liouvillian)
+    monkeypatch.setattr(fock, "splu", counted_splu)
+    report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
+    assert sorted(builds) == [False, True]
+    # One factor per parity sector of the RWA model; its even factor is the
+    # preconditioner of the full model too.
+    assert factors == [(512, 512), (512, 512)]
+    assert report.backaction_gap > 0
+
+
 def test_compare_all_solvers_collapse_at_zero_coupling():
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.0, gamma0=0.01,
                       kappa0=0.2, n_a0=0.5, n_b0=0.0)
