@@ -6,7 +6,8 @@ as a sparse Liouvillian acting on column-stacked density matrices.  The
 module exists to verify the Gaussian solver and the closed-form results by a
 completely independent route.  Stationary states come from GMRES in the
 even-k sector preconditioned by the LU factor of the RWA Liouvillian (own LU
-where that is too weak); trajectories are ``expm(L t) rho0`` on a time grid.
+where that is too weak); trajectories are ``expm(L t) rho0`` on a time grid,
+propagated in each parity sector of ``rho0`` separately.
 
 Frequencies in the :class:`~modcool.model.SystemSpec` are ordinary (Hz) and
 are converted to angular units here; evolution times are seconds.  Stationary
@@ -36,8 +37,10 @@ TRACE_DRIFT_TOL = 1e-8
 # Stationary route.  A solve needing more GMRES iterations than the budget
 # marks a weak preconditioner: at dims (14, 7) the even block's LU then costs
 # less (it matches 20-50 iterations per gap solve).  The odd block's LU costs
-# about 500, so its one solve gets ten budgets.  The gap's Krylov dimension
-# needs the fewest solves over g = 0.02-0.05 there.
+# about 500, so its one solve gets ten budgets, cut short once a restart
+# cycle's residual reduction projects past them (at g = 0.3 ten cycles reach
+# only 2e-4).  The gap's Krylov dimension needs the fewest solves over
+# g = 0.02-0.05 there.
 _GMRES_RTOL = 1e-13
 _GAP_SOLVE_RTOL = 1e-10
 _GMRES_BUDGET = 30
@@ -132,7 +135,8 @@ class FockGenerator:
 
     @cached_property
     def _factors(self) -> list:
-        return [splu(block, **_LU_OPTIONS) for _, block in _sectors(self)]
+        return [splu(block, **_LU_OPTIONS)
+                for _, block in _pinned_sectors(self)]
 
 
 @dataclass(frozen=True)
@@ -280,35 +284,56 @@ class _KrylovFailed(Exception):
     """A preconditioned solve did not converge within the GMRES budget."""
 
 
-def _sectors(generator: FockGenerator) -> list[tuple[np.ndarray, sp.csc_matrix]]:
+def _sectors(generator: FockGenerator) -> list[tuple[np.ndarray, sp.csr_matrix]]:
     """Index and block of ``L`` for even and odd k = N(i) - N(j) of |i><j|
     (N counts both modes' excitations; ``L`` moves k by 0 or +-2: B. Buca and
-    T. Prosen, New J. Phys. 14, 073007 (2012)).  Row 0 becomes the trace."""
+    T. Prosen, New J. Phys. 14, 073007 (2012)), so ``L`` is their direct sum.
+    Every |i><i| is even, |0><0| first."""
     n_a, n_b = generator.config.dims
     excitations = np.add.outer(np.arange(n_a), np.arange(n_b)).ravel()
     odd = np.add.outer(excitations, excitations).ravel() % 2 == 1
     rows, cols = generator.matrix.nonzero()
     if np.any(odd[rows] != odd[cols]):
         raise ValueError("the Liouvillian couples the even and odd sectors")
-    trace_row = sp.csr_matrix(np.eye(n_a * n_b).reshape(1, -1))
-    pinned = sp.vstack([trace_row, generator.matrix[1:, :]], format="csr")
-    return [(index, pinned[index][:, index].tocsc())
+    return [(index, generator.matrix[index][:, index])
             for index in (np.flatnonzero(~odd), np.flatnonzero(odd))]
+
+
+def _pinned_sectors(
+        generator: FockGenerator) -> list[tuple[np.ndarray, sp.csc_matrix]]:
+    """:func:`_sectors` as solved: row 0 of the even block becomes the trace."""
+    n = generator.config.dims[0] * generator.config.dims[1]
+    (even, even_block), (odd, odd_block) = _sectors(generator)
+    trace_row = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, even])
+    return [(even, sp.vstack([trace_row, even_block[1:]], format="csc")),
+            (odd, odd_block.tocsc())]
 
 
 def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
     """``solve(rhs, rtol)`` by GMRES preconditioned by ``factor``; appends
-    the inner iterations to ``iterations`` and gives up past the budget."""
+    the inner iterations to ``iterations`` and gives up past the budget, or
+    on starting a restart cycle when the last cycle's residual reduction,
+    repeated, would not reach ``rtol`` within it."""
     preconditioner = LinearOperator(pinned.shape, matvec=factor.solve,
                                     dtype=complex)
 
     def solve(rhs: np.ndarray, rtol: float, budget: int = _GMRES_BUDGET):
         iterations.append(0)
+        ends: list[float] = []  # residual at the end of each cycle
 
-        def count(_residual) -> None:
+        def count(residual) -> None:
+            done = iterations[-1]
             iterations[-1] += 1
             if iterations[-1] > budget:
                 raise _KrylovFailed
+            if done % _GMRES_BUDGET == 0 and len(ends) >= 2:
+                rate = math.log(ends[-1] / ends[-2])
+                if not rate < 0 or (done + _GMRES_BUDGET
+                                    * math.log(rtol / ends[-1]) / rate
+                                    > budget):
+                    raise _KrylovFailed
+            if iterations[-1] % _GMRES_BUDGET == 0:
+                ends.append(residual)
 
         solution, info = gmres(pinned, rhs, rtol=rtol, restart=_GMRES_BUDGET,
                                M=preconditioner, callback=count,
@@ -382,7 +407,7 @@ def steady_state(generator: FockGenerator, residual_tol: float = 1e-10,
     check; route, iterations, residual, gap, sectors and bound go to DEBUG.
     """
     config = generator.config
-    (even, even_block), (odd, odd_block) = _sectors(generator)
+    (even, even_block), (odd, odd_block) = _pinned_sectors(generator)
     iterations: list[int] = []
     route, (vector, gap) = _sector_solve(
         generator, 0, even_block, iterations,
@@ -426,9 +451,13 @@ def evolve(generator: FockGenerator, initial: DensityState, duration: float,
            num_points: int = 100) -> FockTrajectory:
     """``expm(L t) rho0`` at ``num_points`` uniform times in [0, duration] s.
 
-    Snapshots come from :func:`scipy.sparse.linalg.expm_multiply`.  The
-    initial state must fit the truncation.  Trace conservation is verified to
-    1e-8 before snapshots are renormalised; a larger drift raises.
+    ``L`` is the direct sum of its parity blocks (:func:`_sectors`), so each
+    block with a nonzero part of ``rho0`` is exponentiated on that part alone
+    by :func:`scipy.sparse.linalg.expm_multiply`; the other stays exactly
+    zero.  A diagonal ``rho0`` is all even.  The initial state must fit the
+    truncation.  Trace conservation is verified to 1e-8 before snapshots are
+    renormalised; a larger drift raises.  Sector sizes and the sectors
+    evolved go to DEBUG.
     """
     if not duration > 0 or not math.isfinite(duration):
         raise ValueError(f"duration must be positive and finite, got {duration}")
@@ -443,12 +472,21 @@ def evolve(generator: FockGenerator, initial: DensityState, duration: float,
             f"{tails.tail_a:.3e}, tail_b = {tails.tail_b:.3e}")
     n = initial.matrix.shape[0]
     times = np.linspace(0.0, duration, num_points)
-    vectors = expm_multiply(generator.matrix, _vec(initial.matrix),
-                            start=0.0, stop=duration, num=num_points,
-                            endpoint=True)
+    start = _vec(initial.matrix)
+    sectors = _sectors(generator)
+    parts = {name: (index, expm_multiply(block, start[index], start=0.0,
+                                         stop=duration, num=num_points,
+                                         endpoint=True))
+             for name, (index, block) in zip(("even", "odd"), sectors)
+             if np.any(start[index])}
+    logger.debug("evolve: sectors=%d/%d evolved=%s", sectors[0][0].size,
+                 sectors[1][0].size, ",".join(parts))
     states = []
     for k in range(num_points):
-        rho = _hermitize(_unvec(vectors[k], n))
+        vector = np.zeros(n * n, dtype=complex)
+        for index, snapshots in parts.values():
+            vector[index] = snapshots[k]
+        rho = _hermitize(_unvec(vector, n))
         trace = rho.trace().real
         if abs(trace - 1.0) > TRACE_DRIFT_TOL:
             raise RuntimeError(

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import spsolve
 
 from modcool import SystemSpec, analytic, fock, gaussian
@@ -196,6 +197,23 @@ def test_gap_matches_dense_spectrum(g, counter_rotating, route, caplog):
     assert 0 < float(fields["odd_bound"]) <= odd_sigma
 
 
+@pytest.mark.parametrize("g, converges", [(0.2, True), (0.3, False)])
+def test_stalled_odd_solve_stops_after_two_cycles(g, converges, scaled, caplog):
+    # At (10, 6) the even solve misses its 30-iteration budget at both
+    # couplings.  The odd one converges in 87 iterations at g = 0.2; at
+    # g = 0.3 its second restart cycle reduces the residual only 5-fold, too
+    # slow to reach the tolerance in ten cycles, so it stops there instead
+    # of running all ten (332 iterations in all) and the odd LU takes over.
+    config = OracleConfig(dims=(10, 6), tail_threshold=1e-4)
+    generator = build_generator(replace(scaled, g=g), config)
+    state, fields = logged_solve(caplog, generator)
+    assert fields["route"] == "lu-fallback"
+    assert (int(fields["gmres_iterations"]) > 31 + 61) == converges
+    assert np.max(np.abs(state.matrix
+                         - pinned_direct_solve(generator))) <= 1e-10
+    assert float(fields["odd_bound"]) > 0
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-13])
 @pytest.mark.parametrize("g, counter_rotating", [
     (0.02, True), (0.2, True), (0.2, False)])
@@ -244,6 +262,8 @@ def test_parity_coupling_liouvillian_is_rejected(scaled):
                                    matrix=matrix.tocsr())
     with pytest.raises(ValueError, match="even and odd"):
         steady_state(generator)
+    with pytest.raises(ValueError, match="even and odd"):
+        evolve(generator, thermal_density(config.dims, 0.0, 0.0), 1.0)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -404,6 +424,57 @@ def test_evolve_decay_rate_matches_rate_formula():
                               TWO_PI * estimate])
     assert params[2] / TWO_PI == pytest.approx(analytic.cooling_rate(spec),
                                                rel=0.10)
+
+
+SECTOR_SPEC = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.05,
+                         kappa0=0.3, n_a0=0.05, n_b0=0.0)
+SECTOR_CONFIG = OracleConfig(dims=(6, 4), tail_threshold=1e-4)
+
+
+def mixed_parity_state(dims):
+    """(|0,0> + |1,0>)/sqrt(2): its coherences |0,0><1,0| have k = -1."""
+    psi = np.zeros(dims[0] * dims[1], dtype=complex)
+    psi[[0, dims[1]]] = 1 / math.sqrt(2)
+    return DensityState(dims=dims, matrix=np.outer(psi, psi.conj()))
+
+
+def test_evolve_matches_dense_propagator_on_mixed_parity():
+    generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
+    initial = mixed_parity_state(SECTOR_CONFIG.dims)
+    trajectory = evolve(generator, initial, duration=10.0, num_points=12)
+    step = expm(generator.matrix.toarray() * trajectory.times[1])
+    exact = initial.matrix.reshape(-1, order="F")
+    odd = parity_sectors(SECTOR_CONFIG.dims)[1]
+    for state in trajectory.states:
+        vector = state.matrix.reshape(-1, order="F")
+        assert np.max(np.abs(vector - exact)) <= 1e-10
+        assert np.max(np.abs(vector[odd])) > 1e-3
+        exact = step @ exact
+
+
+def test_evolve_thermal_start_stays_even():
+    generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
+    trajectory = evolve(generator, thermal_density(SECTOR_CONFIG.dims, 0.1, 0.0),
+                        duration=10.0, num_points=12)
+    odd = parity_sectors(SECTOR_CONFIG.dims)[1]
+    for state in trajectory.states:
+        assert not np.any(state.matrix.reshape(-1, order="F")[odd])
+
+
+@pytest.mark.parametrize("mixed, evolved", [(False, "even"), (True, "even,odd")])
+def test_evolve_log_is_silent_by_default(mixed, evolved, caplog):
+    generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
+    initial = (mixed_parity_state(SECTOR_CONFIG.dims) if mixed
+               else thermal_density(SECTOR_CONFIG.dims, 0.1, 0.0))
+    evolve(generator, initial, duration=1.0, num_points=3)
+    assert not [r for r in caplog.records if r.name == "modcool.fock"]
+    with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
+        evolve(generator, initial, duration=1.0, num_points=3)
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.name == "modcool.fock"]
+    fields = dict(item.split("=") for item in message.split(": ")[1].split())
+    even, odd = parity_sectors(SECTOR_CONFIG.dims)
+    assert fields == {"sectors": f"{even.size}/{odd.size}", "evolved": evolved}
 
 
 def test_evolve_closed_system_preserves_purity():
