@@ -1,14 +1,13 @@
-"""Watch the Gaussian state cool in real time and extract the rate from it.
+"""Watch the Gaussian state cool in real time and read the rate off its drift.
 
 The covariance solver propagates the first and second quadrature moments
 exactly, by matrix exponentials, from a hot thermal state; the occupation
-trace relaxes toward the Lyapunov steady state, and an exponential fit of
-the envelope recovers the cooling rate.  The fit is set against the exact
-rate of the slowest drift eigenvalue, -2 Re(lambda) / 2 pi, and the closed
-form Gamma_c + gamma0.  At weak coupling all three agree to about 1%; at
-the full 2 MHz drive the decay is visibly oscillatory (beam and circuit
-hybridise, the slowest eigenmode is half mechanical) and the fit flags
-itself, while the spectral rate stays exact.
+trace relaxes toward the Lyapunov steady state.  Its late-time decay rate is
+the exact rate of the slowest drift eigenvalue, -2 Re(lambda) / 2 pi, set
+here against the closed form Gamma_c + gamma0.  At weak coupling the two
+agree to about 1%; at the full 2 MHz drive the decay is visibly oscillatory
+(beam and circuit hybridise, the slowest eigenmode is half mechanical) and
+the closed form overshoots, while the spectral rate stays exact.
 """
 import math
 from dataclasses import replace
@@ -37,13 +36,6 @@ for g in (0.2e6, 2e6):
     print(f"  spectral rate {-2 * report.margin / (2 * math.pi):.4e} Hz "
           f"(mechanical weight {report.mechanical_weight:.3f}); closed-form "
           f"Gamma_c + gamma0 {analytic.cooling_rate(spec) + spec.gamma0:.4e} Hz")
-    try:
-        fit = gaussian.fit_cooling_rate(trajectory)
-        flag = "  [flagged: oscillatory decay]" if fit.flagged else ""
-        print(f"  fitted rate   {fit.rate:.4e} Hz "
-              f"(residual {fit.residual:.1e}){flag}")
-    except gaussian.FitError as err:
-        print(f"  rate fit refused: {err}")
 
 # Export the strong-coupling trace for plotting.
 trajectory = gaussian.evolve(gaussian.build_drift(BASE),

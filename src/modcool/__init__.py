@@ -7,7 +7,7 @@ The package is organised by solver layer:
 * :mod:`modcool.analytic` -- closed-form cooling rates, floors and
   stationary occupations.
 * :mod:`modcool.gaussian` -- exact covariance-matrix solver (Lyapunov
-  steady state, time evolution, rate fitting, stability analysis).
+  steady state, time evolution, stability analysis and spectral rates).
 * :mod:`modcool.fock` -- truncated Fock-space master-equation oracle.
 * :mod:`modcool.semiclassical` -- circuit-theory backaction model.
 * :mod:`modcool.sweep` -- parameter sweeps, cross-solver comparison and

@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for configuration errors, 2 for solver errors
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -95,10 +96,17 @@ def _cmd_steady(args) -> int:
 
 def _cmd_evolve(args) -> int:
     base = _load(args).base
+    n_a = base.n_a0 if args.initial_n_a is None else args.initial_n_a
+    if not 0 < args.duration < math.inf:
+        raise ConfigError(
+            f"--duration must be positive and finite, got {args.duration}")
+    if args.points < 2:
+        raise ConfigError(f"--points must be at least 2, got {args.points}")
+    if not 0 <= n_a < math.inf:
+        raise ConfigError(
+            f"--initial-n-a must be non-negative and finite, got {n_a}")
     model = gaussian.build_drift(base)
-    initial = gaussian.thermal_state(args.initial_n_a
-                                     if args.initial_n_a is not None
-                                     else base.n_a0, base.n_b0)
+    initial = gaussian.thermal_state(n_a, base.n_b0)
     trajectory = gaussian.evolve(model, initial, args.duration,
                                  num_points=args.points)
     lines = ["time_s,n_a,n_b"]

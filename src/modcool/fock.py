@@ -30,6 +30,7 @@ from .model import SystemSpec, _require_finite, angular_rates
 
 # Contract tolerances for returned density matrices.
 TRACE_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
@@ -145,7 +146,6 @@ class FockTrajectory:
 
     times: np.ndarray
     states: tuple[DensityState, ...]
-    generator: FockGenerator
 
 
 def _destroy(n: int) -> sp.csr_matrix:
@@ -389,7 +389,7 @@ def _stationary(solve, size: int,
     return vector, 1.0 / abs(value)
 
 
-def steady_state(generator: FockGenerator, residual_tol: float = 1e-10,
+def steady_state(generator: FockGenerator,
                  check_unique: bool = True) -> DensityState:
     """Stationary density matrix of the Liouvillian ``L``.
 
@@ -403,7 +403,7 @@ def steady_state(generator: FockGenerator, residual_tol: float = 1e-10,
     below m theta^2 = 1e-6 (J. D. Dixon, SIAM J. Numer. Anal. 20, 812
     (1983)).  A gap or bound under 1e-7 of the slowest dissipation rate, or a
     singular LU, raises :class:`DegenerateSteadyStateError`.  The state must
-    meet ``||L(rho)||_tr <= residual_tol`` (relative to max |L|) and the tail
+    meet ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
     check; route, iterations, residual, gap, sectors and bound go to DEBUG.
     """
     config = generator.config
@@ -427,7 +427,7 @@ def steady_state(generator: FockGenerator, residual_tol: float = 1e-10,
     rho[even] = vector
     rho = _hermitize(_unvec(rho, n))
     rho = rho / rho.trace().real
-    tolerance = residual_tol * max(1.0, np.abs(generator.matrix.data).max())
+    tolerance = RESIDUAL_TOL * max(1.0, np.abs(generator.matrix.data).max())
     resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
                                 compute_uv=False).sum())
     logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "
@@ -495,5 +495,4 @@ def evolve(generator: FockGenerator, initial: DensityState, duration: float,
         state = DensityState(dims=initial.dims, matrix=rho / trace)
         _check_positive(state)
         states.append(state)
-    return FockTrajectory(times=times, states=tuple(states),
-                          generator=generator)
+    return FockTrajectory(times=times, states=tuple(states))

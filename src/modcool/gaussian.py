@@ -12,8 +12,9 @@ numerically (see :func:`evolve`).
 
 The :class:`~modcool.model.SystemSpec` carries ordinary frequencies in Hz;
 the drift and diffusion matrices are assembled in angular units (1/s) so
-trajectories are parameterised by laboratory time in seconds.  Decay rates,
-from the drift spectrum or from a fit, are converted back to Hz.
+trajectories are parameterised by laboratory time in seconds.  Decay rates
+come from the drift spectrum (:func:`stability`) and are converted back to Hz
+by the caller.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
-from scipy.optimize import curve_fit
 
-from .model import TWO_PI, SystemSpec, _require_finite, angular_rates
+from .model import SystemSpec, _require_finite, angular_rates
 
 # Symplectic form for the quadrature ordering (X_a, P_a, X_b, P_b).
 SYMPLECTIC_FORM = np.array([
@@ -39,9 +39,6 @@ SYMPLECTIC_FORM = np.array([
 PHYSICALITY_TOL = 1e-9
 LYAPUNOV_RTOL = 1e-10
 _SYMMETRY_TOL = 1e-12
-# Decay amplitudes at or below this fraction of the occupation scale are
-# rounding error, not decay.
-_FLAT_TRACE_RTOL = 1e-9
 
 # (X, P) positions of each mode in the quadrature ordering.
 _MODE_QUADRATURES = {"a": (0, 1), "b": (2, 3)}
@@ -51,15 +48,10 @@ class StabilityError(RuntimeError):
     """The drift matrix is not Hurwitz, so no stationary state exists."""
 
 
-class FitError(RuntimeError):
-    """A decay-rate fit could not be carried out on the given trajectory."""
-
-
 @dataclass(frozen=True)
 class DriftModel:
     """Drift and diffusion matrices (angular units, 1/s) of one spec."""
 
-    spec: SystemSpec
     drift: np.ndarray
     diffusion: np.ndarray
 
@@ -78,11 +70,10 @@ class DriftModel:
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Gaussian state: quadrature means, covariance matrix and a timestamp."""
+    """Gaussian state: quadrature means and covariance matrix."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    time: float
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
@@ -122,7 +113,6 @@ class Trajectory:
     times: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
-    model: DriftModel
 
     def __post_init__(self) -> None:
         n = len(self.times)
@@ -130,27 +120,9 @@ class Trajectory:
             raise ValueError("need one length-4 mean and one 4x4 covariance "
                              "per time")
 
-    @property
-    def states(self) -> tuple[CovarianceState, ...]:
-        return tuple(CovarianceState(mean=m, covariance=v, time=float(t))
-                     for t, m, v in zip(self.times, self.means,
-                                        self.covariances))
-
     def occupations(self, mode: str) -> np.ndarray:
         """Occupation of one mode at every snapshot (see :func:`occupation`)."""
         return _occupations(self.means, self.covariances, mode)
-
-
-@dataclass(frozen=True)
-class CoolingFit:
-    """Result of an exponential decay fit of a mechanical occupation trace."""
-
-    rate: float                  # Hz
-    n_initial: float
-    n_final: float
-    residual: float              # rms residual over the decay amplitude
-    window: tuple[float, float]  # seconds
-    flagged: bool                # residual above threshold (oscillatory decay)
 
 
 def build_drift(spec: SystemSpec) -> DriftModel:
@@ -178,7 +150,7 @@ def build_drift(spec: SystemSpec) -> DriftModel:
         kappa0 * (spec.n_b0 + 0.5),
         kappa0 * (spec.n_b0 + 0.5),
     ])
-    return DriftModel(spec=spec, drift=drift, diffusion=diffusion)
+    return DriftModel(drift=drift, diffusion=diffusion)
 
 
 def stability(model: DriftModel) -> StabilityReport:
@@ -204,13 +176,13 @@ def _margins(covariances: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(covariances + 0.5j * SYMPLECTIC_FORM)[:, 0]
 
 
-def thermal_state(n_a: float, n_b: float, time: float = 0.0) -> CovarianceState:
+def thermal_state(n_a: float, n_b: float) -> CovarianceState:
     """Product of thermal states with the given occupations (zero means)."""
-    _require_finite(n_a=n_a, n_b=n_b, time=time)
+    _require_finite(n_a=n_a, n_b=n_b)
     if n_a < 0 or n_b < 0:
         raise ValueError("occupations must be non-negative")
     cov = np.diag([n_a + 0.5, n_a + 0.5, n_b + 0.5, n_b + 0.5])
-    return CovarianceState(mean=np.zeros(4), covariance=cov, time=time)
+    return CovarianceState(mean=np.zeros(4), covariance=cov)
 
 
 def occupation(state: CovarianceState, mode: str) -> float:
@@ -271,7 +243,7 @@ def steady_state(model: DriftModel) -> CovarianceState:
             raise RuntimeError(
                 f"Lyapunov residual {np.linalg.norm(residual):.3e} exceeds "
                 f"{LYAPUNOV_RTOL:.1e} * ||D||")
-    state = CovarianceState(mean=np.zeros(4), covariance=v, time=math.inf)
+    state = CovarianceState(mean=np.zeros(4), covariance=v)
     margin = physicality_margin(state)
     if margin < -PHYSICALITY_TOL:
         raise RuntimeError(
@@ -327,76 +299,5 @@ def evolve(model: DriftModel, initial: CovarianceState, duration: float,
         means[k], covariances[k] = mean, v
         mean = step @ mean
         v = step @ v @ step.T + increment
-    return Trajectory(times=times, means=means, covariances=covariances,
-                      model=model)
+    return Trajectory(times=times, means=means, covariances=covariances)
 
-
-def fit_cooling_rate(trajectory: Trajectory, mode: str = "a",
-                     transient: float | None = None,
-                     residual_threshold: float = 0.05,
-                     min_decay: float = 10.0) -> CoolingFit:
-    """Fit n(t) = n_f + (n_i - n_f) exp(-Gamma t) to an occupation trace.
-
-    The first ``transient`` seconds are discarded before fitting; the
-    default is three circuit lifetimes, 3/(2 pi kappa0), so the fast cavity
-    settling does not contaminate the mechanical envelope.  The excess
-    occupation must decay by at least ``min_decay`` over the fit window,
-    otherwise :class:`FitError` is raised; so is a trace whose drop over the
-    window is at rounding level (1e-9 of its largest value).  A fit whose
-    rms residual exceeds ``residual_threshold`` of the decay amplitude is
-    returned with ``flagged`` set -- the signature of oscillatory
-    strong-coupling decay that a single exponential cannot represent.
-
-    Returns the decay rate as an ordinary frequency (Hz).
-    """
-    times = trajectory.times
-    values = trajectory.occupations(mode)
-    if transient is None:
-        kappa0 = trajectory.model.spec.kappa0
-        transient = 3.0 / (TWO_PI * kappa0) if kappa0 > 0 else 0.0
-    mask = times >= times[0] + transient
-    if np.count_nonzero(mask) < 8:
-        raise ValueError("fewer than 8 samples remain after the transient cut")
-    t = times[mask] - times[mask][0]
-    n = values[mask]
-    if not np.all(np.isfinite(n)):
-        raise FitError("occupation trace contains non-finite values")
-    # A drop at rounding level is no decay: a flat trace that happens to end
-    # a few ulps lower would otherwise pass the min_decay check below, whose
-    # tail n[-1] - n_f is then non-positive.
-    if n[0] - n[-1] <= _FLAT_TRACE_RTOL * max(1.0, float(np.max(np.abs(n)))):
-        raise FitError(
-            f"trajectory does not decay: n(t0) = {n[0]:.6g}, "
-            f"n(t1) = {n[-1]:.6g}")
-
-    n_f0 = float(n[-1])
-    amp0 = float(n[0] - n_f0)
-    below = np.nonzero(n - n_f0 <= amp0 / math.e)[0]
-    rate0 = 1.0 / t[below[0]] if below.size and t[below[0]] > 0 else 3.0 / t[-1]
-
-    def decay(tt, n_f, amp, rate):
-        return n_f + amp * np.exp(-rate * tt)
-
-    try:
-        params, _ = curve_fit(decay, t, n, p0=[n_f0, amp0, rate0],
-                              bounds=([0.0, 0.0, 0.0], [np.inf] * 3),
-                              maxfev=20000)
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"exponential fit did not converge: {exc}") from exc
-    n_f, amp, rate = map(float, params)
-    residual = float(np.sqrt(np.mean((n - decay(t, *params)) ** 2))
-                     / max(amp, 1e-300))
-    tail = n[-1] - n_f
-    factor = math.inf if tail <= 0 else (n[0] - n_f) / tail
-    if factor < min_decay:
-        raise FitError(
-            f"excess occupation decays by factor {factor:.3g} < {min_decay} "
-            f"over the fit window; extend the trajectory")
-    return CoolingFit(
-        rate=rate / TWO_PI,
-        n_initial=float(n[0]),
-        n_final=n_f,
-        residual=residual,
-        window=(float(times[mask][0]), float(times[-1])),
-        flagged=bool(residual > residual_threshold),
-    )

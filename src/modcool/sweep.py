@@ -31,6 +31,8 @@ from .semiclassical import circuit_cooling_rate
 SOLVER_NAMES = ("analytic", "analytic-rwa", "gaussian", "oracle",
                 "semiclassical")
 SWEEPABLE = ("delta", "g", "kappa0", "gamma0", "n_a0")
+# Mechanical bath occupation of :func:`rescale_for_oracle`'s surrogate spec.
+ORACLE_N_A0_CAP = 1.0
 
 _UNIT_SCALES = {
     "": 1.0,
@@ -290,12 +292,13 @@ def load_config(text: str) -> Config:
     return Config(base, omega_b, oracle, circuit, swept)
 
 
-def rescale_for_oracle(spec: SystemSpec, cap: float = 1.0) -> SystemSpec:
+def rescale_for_oracle(spec: SystemSpec) -> SystemSpec:
     """Express a spec in units of its mechanical frequency and cap n_a0.
 
     Occupations are invariant under a common rescaling of all five rates, so
     setting omega_a = 1 changes nothing physical; capping the mechanical
-    bath occupation (default at 1) is what makes Fock truncations small.
+    bath occupation at ``ORACLE_N_A0_CAP`` is what makes Fock truncations
+    small.
     The capped spec is a surrogate: every closed-form occupation here is
     affine in n_a0, so full-scale numbers are recovered by that linearity.
     """
@@ -306,7 +309,7 @@ def rescale_for_oracle(spec: SystemSpec, cap: float = 1.0) -> SystemSpec:
         g=spec.g / s,
         gamma0=spec.gamma0 / s,
         kappa0=spec.kappa0 / s,
-        n_a0=min(spec.n_a0, cap),
+        n_a0=min(spec.n_a0, ORACLE_N_A0_CAP),
         n_b0=spec.n_b0,
     )
 

@@ -229,7 +229,8 @@ def test_criterion_11_physicality_suite(oracle_full, oracle_rwa):
         trajectory = gaussian.evolve(
             model, gaussian.thermal_state(spec.n_a0, spec.n_b0),
             10.0 / spec.kappa0, num_points=25)
-        for snapshot in trajectory.states[::6]:
+        for m, v in zip(trajectory.means[::6], trajectory.covariances[::6]):
+            snapshot = gaussian.CovarianceState(mean=m, covariance=v)
             worst_margin = min(worst_margin,
                                gaussian.physicality_margin(snapshot))
         checked += 1

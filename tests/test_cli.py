@@ -216,6 +216,21 @@ def test_evolve_command(tmp_path):
     assert occupations[-1] < 0.1
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--duration", "0"), ("--duration", "nan"), ("--duration", "inf"),
+    ("--points", "1"), ("--points", "0"),
+    ("--initial-n-a", "nan"), ("--initial-n-a", "-1"),
+], ids=["duration-zero", "duration-nan", "duration-inf", "points-one",
+        "points-zero", "initial-n-a-nan", "initial-n-a-negative"])
+def test_evolve_bad_argument_is_a_config_error(tmp_path, capsys, option,
+                                               value):
+    config = write(tmp_path, "sys.ini", SYSTEM_CONFIG)
+    argv = ["evolve", "--config", config, "--duration", "5e-7",
+            "--out", str(tmp_path / "trajectory.csv"), option, value]
+    assert main(argv) == 1
+    assert f"config error: {option}" in capsys.readouterr().err
+
+
 def test_design_command(tmp_path, capsys):
     config = write(tmp_path, "circuit.ini", CIRCUIT_CONFIG)
     assert main(["design", "--config", config]) == 0

@@ -233,10 +233,9 @@ def _gaussian_rows(base: SystemSpec, grid) -> list:
 
 def test_gaussian_sweep_rate_is_the_drift_spectrum(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the sweep must not propagate or fit")
+        raise AssertionError("the sweep must not propagate")
 
     monkeypatch.setattr(gaussian, "evolve", refuse)
-    monkeypatch.setattr(gaussian, "fit_cooling_rate", refuse)
     grid = np.linspace(-1.5, -0.5, 11) * BENCHMARK.omega_a
     for row in _gaussian_rows(BENCHMARK, grid):
         want = _drift_spectrum_rate(replace(BENCHMARK, delta=row.value))
@@ -255,20 +254,23 @@ def test_gaussian_sweep_rate_on_the_hybridised_sideband():
                                            "mechanical weight 0.500")
 
 
-@pytest.mark.parametrize("g, detuning, rtol", [
-    (2e6, -1.5, 0.02), (2e6, -1.3, 0.02), (2e6, -0.7, 0.02),
-    (2e6, -0.5, 0.02), (0.2e6, -1.0, 1e-3),
+@pytest.mark.parametrize("g, detuning", [
+    (2e6, -1.5), (2e6, -1.3), (2e6, -0.7), (2e6, -0.5), (0.2e6, -1.0),
 ])
-def test_gaussian_sweep_rate_matches_an_unflagged_fit(g, detuning, rtol):
+def test_gaussian_sweep_rate_matches_the_trace_log_slope(g, detuning):
+    # Late in the relaxation only the slowest drift mode is left, so
+    # log(n(t) - n_inf) falls with slope -2 pi rate.
     spec = replace(BENCHMARK, g=g, delta=detuning * BENCHMARK.omega_a)
     rate = _gaussian_rows(spec, [spec.delta])[0].rates["gaussian"]
     duration = 3 / (2 * math.pi * spec.kappa0) + 6.9 / (2 * math.pi * rate)
-    trajectory = gaussian.evolve(gaussian.build_drift(spec),
-                                 gaussian.thermal_state(spec.n_a0, 0.0),
+    model = gaussian.build_drift(spec)
+    trajectory = gaussian.evolve(model, gaussian.thermal_state(spec.n_a0, 0.0),
                                  duration, num_points=800)
-    fit = gaussian.fit_cooling_rate(trajectory)
-    assert not fit.flagged
-    assert rate == pytest.approx(fit.rate, rel=rtol)
+    excess = (trajectory.occupations("a")
+              - gaussian.occupation(gaussian.steady_state(model), "a"))
+    late = trajectory.times >= duration / 2
+    slope = np.polyfit(trajectory.times[late], np.log(excess[late]), 1)[0]
+    assert rate == pytest.approx(-slope / (2 * math.pi), rel=1e-4)
 
 
 def test_run_sweep_with_oracle_solver(scaled):
