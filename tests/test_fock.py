@@ -477,6 +477,39 @@ def test_evolve_log_is_silent_by_default(mixed, evolved, caplog):
     assert fields == {"sectors": f"{even.size}/{odd.size}", "evolved": evolved}
 
 
+def test_evolve_rejects_non_hermiticity_preserving_generator():
+    generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
+    rotated = fock.FockGenerator(spec=SECTOR_SPEC, config=SECTOR_CONFIG,
+                                 matrix=(1j * generator.matrix).tocsr())
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        evolve(rotated, thermal_density(SECTOR_CONFIG.dims, 0.1, 0.0), 1.0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(dims=st.tuples(st.integers(2, 5), st.integers(2, 4)),
+       rates=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6),
+       n_b0=st.floats(0.01, 2.0), counter_rotating=st.booleans())
+def test_real_form_is_the_sector_block(dims, rates, n_b0, counter_rotating):
+    omega_a, delta, g, gamma0, kappa0, n_a0 = rates
+    spec = SystemSpec(omega_a=omega_a + 0.1, delta=-delta, g=g, gamma0=gamma0,
+                      kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
+    config = OracleConfig(dims=dims, include_counter_rotating=counter_rotating)
+    matrix = build_generator(spec, config).matrix
+    n = dims[0] * dims[1]
+    tolerance = 1e-13 * np.abs(matrix.data).max()
+    for index in parity_sectors(dims):
+        block = matrix[index][:, index]
+        basis, inverse, real = fock._real_form(index, block, n)
+        assert not np.iscomplexobj(real.toarray())
+        assert np.abs((inverse @ block @ basis).toarray().imag).max() <= tolerance
+        assert np.abs((basis @ real - block @ basis).toarray()).max() <= tolerance
+        assert np.array_equal((inverse @ basis).toarray(), np.eye(index.size))
+        vector = np.zeros(n * n, dtype=complex)
+        vector[index] = basis @ np.arange(1.0, index.size + 1)
+        rho = vector.reshape((n, n), order="F")
+        assert np.array_equal(rho, rho.conj().T)
+
+
 def test_evolve_closed_system_preserves_purity():
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.05, gamma0=0.0,
                       kappa0=0.0, n_a0=0.0, n_b0=0.0)
@@ -514,6 +547,14 @@ def test_evolve_rejects_bad_duration(duration):
     generator = build_generator(spec, OracleConfig(dims=(6, 4)))
     with pytest.raises(ValueError, match="duration"):
         evolve(generator, thermal_density((6, 4), 0.1, 0.0), duration)
+
+
+@pytest.mark.parametrize("num_points", [0, 1, -1])
+def test_evolve_rejects_too_few_points(num_points):
+    generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
+    hot = thermal_density(SECTOR_CONFIG.dims, 4.0, 0.0)  # tails checked later
+    with pytest.raises(ValueError, match="num_points must be at least 2"):
+        evolve(generator, hot, 1.0, num_points=num_points)
 
 
 def test_oracle_config_validation():
