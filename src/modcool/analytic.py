@@ -66,26 +66,13 @@ def final_occupation(spec: SystemSpec) -> float:
     rate from :func:`cooling_rate` and the floor from
     :func:`backaction_floor`.  This exact rate-balance form remains
     well-defined when the cooling rate is comparable to the intrinsic
-    linewidth; see :func:`final_occupation_weak_damping` for the expanded
-    form.
+    linewidth.
     """
     rate = cooling_rate(spec)
     if rate + spec.gamma0 == 0:
         raise ValueError("no stationary occupation: both rates vanish")
     return ((rate * backaction_floor(spec) + spec.gamma0 * spec.n_a0)
             / (rate + spec.gamma0))
-
-
-def final_occupation_weak_damping(spec: SystemSpec) -> float:
-    """Expanded stationary occupation n_0 + (gamma0/Gamma_c)(n_a0 - n_0).
-
-    First order in gamma0/Gamma_c; requires a nonzero cooling rate.
-    """
-    rate = cooling_rate(spec)
-    if rate == 0:
-        raise ValueError("weak-damping expansion requires a nonzero cooling rate")
-    n0 = backaction_floor(spec)
-    return n0 + (spec.gamma0 / rate) * (spec.n_a0 - n0)
 
 
 def sideband_rates(spec: SystemSpec) -> tuple[float, float]:

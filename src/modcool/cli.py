@@ -52,6 +52,13 @@ def _write_text(out: str | None, text: str) -> None:
             handle.write(text)
 
 
+def _exit_code(rows: list[sweep.SweepRow], solvers: tuple[str, ...]) -> int:
+    """2 (a solver error) when no solver gave a value on any row, else 0."""
+    failed = all(row.rates[s] is None and row.occupations[s] is None
+                 for row in rows for s in solvers)
+    return 2 if failed else 0
+
+
 def _load(args) -> sweep.Config:
     """Parse ``--config`` once, then apply ``--grid`` and ``--scaled``."""
     if args.config is None:
@@ -88,10 +95,7 @@ def _cmd_steady(args) -> int:
               + (f"   [{note}]" if note else ""))
     if args.out is not None:
         _write_text(args.out, sweep.render_csv(rows, solvers))
-    if all(row.rates[s] is None and row.occupations[s] is None
-           for s in solvers):
-        return 2
-    return 0
+    return _exit_code(rows, solvers)
 
 
 def _cmd_evolve(args) -> int:
@@ -127,12 +131,8 @@ def _cmd_sweep(args) -> int:
     if args.solvers is not None:
         spec = replace(spec, solvers=_default_solvers(args.solvers))
     rows = sweep.run_sweep(spec)
-    text = sweep.render_csv(rows, spec.solvers)
-    _write_text(args.out, text)
-    all_failed = all(
-        row.rates[s] is None and row.occupations[s] is None
-        for row in rows for s in spec.solvers)
-    return 2 if all_failed else 0
+    _write_text(args.out, sweep.render_csv(rows, spec.solvers))
+    return _exit_code(rows, spec.solvers)
 
 
 def _figure_rows(solvers: tuple[str, ...], grid: np.ndarray,
@@ -160,22 +160,10 @@ def _figure_rows(solvers: tuple[str, ...], grid: np.ndarray,
     return merged, tuple(labels)
 
 
-def _figure_grid(args) -> np.ndarray:
-    if args.grid is not None:
-        return sweep.parse_grid(args.grid)
-    return np.linspace(-1.5, -0.5, 201) * FIGURE_BASE.omega_a
-
-
-def _cmd_fig2(args) -> int:
-    rows, labels = _figure_rows(("analytic", "analytic-rwa"),
-                                _figure_grid(args), None)
-    _write_text(args.out, sweep.render_csv(rows, labels))
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    rows, labels = _figure_rows(("analytic", "semiclassical"),
-                                _figure_grid(args), FIGURE_OMEGA_B)
+def _cmd_figure(args) -> int:
+    grid = (np.linspace(-1.5, -0.5, 201) * FIGURE_BASE.omega_a
+            if args.grid is None else sweep.parse_grid(args.grid))
+    rows, labels = _figure_rows(args.solvers, grid, args.omega_b)
     _write_text(args.out, sweep.render_csv(rows, labels))
     return 0
 
@@ -269,18 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="override grid, 'start:stop:n' with units")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("fig2", help="stationary occupation versus detuning "
-                                    "(full and no-counter-rotating forms, "
-                                    "two drive strengths)")
-    add_common(p, scaled=False)
-    p.add_argument("--grid", help="override grid, 'start:stop:n' with units")
-    p.set_defaults(func=_cmd_fig2)
-
-    p = sub.add_parser("fig3", help="cooling rate versus detuning "
-                                    "(quantum and semiclassical forms)")
-    add_common(p, scaled=False)
-    p.add_argument("--grid", help="override grid, 'start:stop:n' with units")
-    p.set_defaults(func=_cmd_fig3)
+    for name, help_text, solvers, omega_b in (
+            ("fig2", "stationary occupation versus detuning (full and "
+                     "no-counter-rotating forms, two drive strengths)",
+             ("analytic", "analytic-rwa"), None),
+            ("fig3", "cooling rate versus detuning (quantum and "
+                     "semiclassical forms)",
+             ("analytic", "semiclassical"), FIGURE_OMEGA_B)):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p, scaled=False)
+        p.add_argument("--grid", help="override grid, 'start:stop:n' with units")
+        p.set_defaults(func=_cmd_figure, solvers=solvers, omega_b=omega_b)
 
     p = sub.add_parser("compare", help="cross-solver comparison at one point")
     add_common(p)

@@ -406,17 +406,14 @@ def _sector_solve(generator: FockGenerator, parity: int,
         "is exactly singular")
 
 
-def _stationary(solve, size: int,
-                check_unique: bool) -> tuple[np.ndarray, float | None]:
-    """Stationary vector and optional gap, with ``solve(rhs, rtol) = A^-1 rhs``.
+def _stationary(solve, size: int) -> tuple[np.ndarray, float]:
+    """Stationary vector and gap, with ``solve(rhs, rtol) = A^-1 rhs``.
 
     ``B(v) = A^-1 [0; v[1:]]`` is ``L^-1`` on traceless vectors and maps all
     vectors to traceless ones, so its largest |eigenvalue| is 1/gap.  The
     all-ones Arnoldi start vector reaches every coherence sector of A.
     """
     vector = solve(np.eye(1, size, dtype=complex)[0], _GMRES_RTOL)
-    if not check_unique:
-        return vector, None
 
     def deflated(v: np.ndarray) -> np.ndarray:
         return solve(np.concatenate(([0.0], v.ravel()[1:])), _GAP_SOLVE_RTOL)
@@ -427,21 +424,20 @@ def _stationary(solve, size: int,
     return vector, 1.0 / abs(value)
 
 
-def steady_state(generator: FockGenerator,
-                 check_unique: bool = True) -> DensityState:
+def steady_state(generator: FockGenerator) -> DensityState:
     """Stationary density matrix of the Liouvillian ``L``.
 
     The state lies in the even-k block of ``L`` (:func:`_sectors`): ``A x =
     e_0`` (that block, row 0 the trace) is solved by GMRES preconditioned by
     the LU of the same block of the RWA part of ``L`` (P. D. Nation,
     arXiv:1504.06768), exact without a pair-creation term, else by the LU of
-    ``A``.  With ``check_unique`` the gap comes from the same solves, and
-    ``x = L_oo^-1 v``, ``v`` a seeded complex Gaussian of size m, bounds
-    sigma_min(L_oo) >= (theta |v| - |v - L_oo x|) / |x| but for a chance
-    below m theta^2 = 1e-6 (J. D. Dixon, SIAM J. Numer. Anal. 20, 812
-    (1983)).  A gap or bound under 1e-7 of the slowest dissipation rate, or a
-    singular LU, raises :class:`DegenerateSteadyStateError`.  The state must
-    meet ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
+    ``A``.  The gap comes from the same solves, and ``x = L_oo^-1 v``, ``v``
+    a seeded complex Gaussian of size m, bounds sigma_min(L_oo) >= (theta
+    |v| - |v - L_oo x|) / |x| but for a chance below m theta^2 = 1e-6 (J. D.
+    Dixon, SIAM J. Numer. Anal. 20, 812 (1983)).  A gap or bound under 1e-7
+    of the slowest dissipation rate, or a singular LU, raises
+    :class:`DegenerateSteadyStateError`.  The state must meet
+    ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
     check; route, iterations, residual, gap, sectors and bound go to DEBUG.
     """
     config = generator.config
@@ -449,17 +445,15 @@ def steady_state(generator: FockGenerator,
     iterations: list[int] = []
     route, (vector, gap) = _sector_solve(
         generator, 0, even_block, iterations,
-        lambda solve: _stationary(solve, even.size, check_unique))
-    odd_bound = None
-    if check_unique:
-        _check_gap(generator.spec, gap, "spectral gap")
-        v = np.random.default_rng(0).standard_normal(2 * odd.size).view(complex)
-        _, x = _sector_solve(generator, 1, odd_block, iterations, lambda solve:
-                             solve(v, _GAP_SOLVE_RTOL, 10 * _GMRES_BUDGET))
-        theta = math.sqrt(1e-6 / odd.size)  # 1e-6: the failure probability
-        odd_bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
-            v - odd_block @ x)) / np.linalg.norm(x))
-        _check_gap(generator.spec, odd_bound, "odd-sector singular value")
+        lambda solve: _stationary(solve, even.size))
+    _check_gap(generator.spec, gap, "spectral gap")
+    v = np.random.default_rng(0).standard_normal(2 * odd.size).view(complex)
+    _, x = _sector_solve(generator, 1, odd_block, iterations, lambda solve:
+                         solve(v, _GAP_SOLVE_RTOL, 10 * _GMRES_BUDGET))
+    theta = math.sqrt(1e-6 / odd.size)  # 1e-6: the failure probability
+    odd_bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
+        v - odd_block @ x)) / np.linalg.norm(x))
+    _check_gap(generator.spec, odd_bound, "odd-sector singular value")
     n = config.dims[0] * config.dims[1]
     rho = np.zeros(n * n, dtype=complex)
     rho[even] = vector

@@ -202,7 +202,8 @@ class SystemSpec:
         Circuit linewidth (Hz).  Zero is accepted so closed-system checks
         can be expressed; rate formulas that divide by kappa0 then raise.
     n_a0, n_b0 : float
-        Bath occupations of the mechanical and circuit modes.
+        Bath occupations of the mechanical and circuit modes; ``n_b0``
+        defaults to 0, a circuit cold enough to hold no thermal quanta.
     """
 
     omega_a: float
@@ -211,7 +212,7 @@ class SystemSpec:
     gamma0: float
     kappa0: float
     n_a0: float
-    n_b0: float
+    n_b0: float = 0.0
 
     def __post_init__(self) -> None:
         _require_finite(**vars(self))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import re
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from io import StringIO
 from typing import NamedTuple
 
@@ -28,8 +28,6 @@ from .model import (
 )
 from .semiclassical import circuit_cooling_rate
 
-SOLVER_NAMES = ("analytic", "analytic-rwa", "gaussian", "oracle",
-                "semiclassical")
 SWEEPABLE = ("delta", "g", "kappa0", "gamma0", "n_a0")
 # Mechanical bath occupation of :func:`rescale_for_oracle`'s surrogate spec.
 ORACLE_N_A0_CAP = 1.0
@@ -121,14 +119,8 @@ class SweepRow:
     diagnostics: dict[str, str]
 
 
-_SYSTEM_KEYS = {"omega_a", "delta", "g", "gamma0", "kappa0", "n_a0", "n_b0",
-                "omega_b"}
-_CIRCUIT_KEYS = {"c_x0", "c_sigma0", "inductance", "d0", "delta_x0", "v_c",
-                 "resistance", "t0", "c_g", "c_b"}
-_MECH_KEYS = {"frequency", "damping", "bath_occupation"}
 _DRIVE_KEYS = {"frequency"}
 _SWEEP_KEYS = {"parameter", "grid", "solvers"}
-_ORACLE_KEYS = {"dims", "include_counter_rotating", "tail_threshold"}
 _SECTIONS = {"system", "circuit", "mechanical", "drive", "sweep", "oracle"}
 
 
@@ -143,43 +135,41 @@ def _check_keys(section: str, present, allowed, required) -> None:
             f"missing key(s) {sorted(missing)} in section [{section}]")
 
 
-def _circuit_from_parser(parser: ConfigParser) -> CircuitParams:
-    circ = parser["circuit"]
-    _check_keys("circuit", circ.keys(), _CIRCUIT_KEYS,
-                _CIRCUIT_KEYS - {"c_g", "c_b"})
-    return CircuitParams(
-        c_x0=parse_quantity(circ["c_x0"]),
-        c_sigma0=parse_quantity(circ["c_sigma0"]),
-        inductance=parse_quantity(circ["inductance"]),
-        d0=parse_quantity(circ["d0"]),
-        delta_x0=parse_quantity(circ["delta_x0"]),
-        v_c=parse_quantity(circ["v_c"]),
-        resistance=parse_quantity(circ["resistance"]),
-        t0=parse_quantity(circ["t0"]),
-        c_g=parse_quantity(circ["c_g"]) if "c_g" in circ else None,
-        c_b=parse_quantity(circ["c_b"]) if "c_b" in circ else None,
-    )
+def _parse_dims(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ConfigError(f"oracle dims must be 'N_a, N_b', got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
+# Parsers of the field types that are not numbers, keyed by annotation.
+_FIELD_PARSERS = {"bool": _parse_bool, "tuple[int, int]": _parse_dims}
+
+
+def _from_section(parser: ConfigParser, name: str, cls, number=parse_quantity,
+                  extra: tuple[str, ...] = ()):
+    """``cls`` built from section ``name``, or None when it is absent.
+
+    The section's keys are the fields of ``cls`` plus ``extra`` (which the
+    caller reads); a field with a default may be left out and then takes
+    it.  Numeric fields are read by ``number``.
+    """
+    if not parser.has_section(name):
+        return None
+    section = parser[name]
+    _check_keys(name, section.keys(), {f.name for f in fields(cls)}.union(extra),
+                {f.name for f in fields(cls) if f.default is MISSING})
+    return cls(**{f.name: _FIELD_PARSERS.get(f.type, number)(section[f.name])
+                  for f in fields(cls) if f.name in section})
 
 
 def _base_from_config(parser: ConfigParser, circuit: CircuitParams | None
                       ) -> tuple[SystemSpec, float | None]:
     """Build the base SystemSpec from [system] or [circuit]+[mechanical]+[drive]."""
-    if parser.has_section("system"):
-        section = parser["system"]
-        _check_keys("system", section.keys(), _SYSTEM_KEYS,
-                    {"omega_a", "delta", "g", "gamma0", "kappa0", "n_a0"})
-        omega_b = (parse_quantity(section["omega_b"])
-                   if "omega_b" in section else None)
-        spec = SystemSpec(
-            omega_a=parse_quantity(section["omega_a"]),
-            delta=parse_quantity(section["delta"]),
-            g=parse_quantity(section["g"]),
-            gamma0=parse_quantity(section["gamma0"]),
-            kappa0=parse_quantity(section["kappa0"]),
-            n_a0=parse_quantity(section["n_a0"]),
-            n_b0=parse_quantity(section["n_b0"]) if "n_b0" in section else 0.0,
-        )
-        return spec, omega_b
+    spec = _from_section(parser, "system", SystemSpec, extra=("omega_b",))
+    if spec is not None:
+        omega_b = parser["system"].get("omega_b")
+        return spec, None if omega_b is None else parse_quantity(omega_b)
     if circuit is None:
         raise ConfigError(
             "config must contain a [system] section or a [circuit] + "
@@ -187,38 +177,11 @@ def _base_from_config(parser: ConfigParser, circuit: CircuitParams | None
     for name in ("mechanical", "drive"):
         if not parser.has_section(name):
             raise ConfigError(f"missing [{name}] section for the circuit route")
-    mech_section = parser["mechanical"]
-    _check_keys("mechanical", mech_section.keys(), _MECH_KEYS,
-                {"frequency", "damping"})
-    mech = ModeParams(
-        frequency=parse_quantity(mech_section["frequency"]),
-        damping=parse_quantity(mech_section["damping"]),
-        bath_occupation=(parse_quantity(mech_section["bath_occupation"])
-                         if "bath_occupation" in mech_section else None),
-    )
+    mech = _from_section(parser, "mechanical", ModeParams)
     drive_section = parser["drive"]
     _check_keys("drive", drive_section.keys(), _DRIVE_KEYS, _DRIVE_KEYS)
     spec = build_system(circuit, mech, parse_quantity(drive_section["frequency"]))
     return spec, lc_frequency(circuit)
-
-
-def _oracle_from_config(parser: ConfigParser) -> fock.OracleConfig | None:
-    if not parser.has_section("oracle"):
-        return None
-    section = parser["oracle"]
-    _check_keys("oracle", section.keys(), _ORACLE_KEYS, {"dims"})
-    dims_text = section["dims"].split(",")
-    if len(dims_text) != 2:
-        raise ConfigError(f"oracle dims must be 'N_a, N_b', got {section['dims']!r}")
-    dims = (int(dims_text[0]), int(dims_text[1]))
-    return fock.OracleConfig(
-        dims=dims,
-        include_counter_rotating=(
-            _parse_bool(section["include_counter_rotating"])
-            if "include_counter_rotating" in section else True),
-        tail_threshold=(float(section["tail_threshold"])
-                        if "tail_threshold" in section else 1e-6),
-    )
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -259,10 +222,13 @@ def load_config(text: str) -> Config:
     """Parse and validate configuration text.
 
     Sections: ``[system]`` (or ``[circuit]`` + ``[mechanical]`` + ``[drive]``),
-    and optionally ``[sweep]`` and ``[oracle]``.  Every frequency-like value
-    takes a unit suffix (Hz/kHz/MHz/GHz and so on); unknown sections, keys or
-    units are rejected, and so is any value its parameter class refuses:
-    every failure is a :class:`ConfigError`.
+    and optionally ``[sweep]`` and ``[oracle]``.  The keys of ``[system]``,
+    ``[circuit]``, ``[mechanical]`` and ``[oracle]`` are the fields of
+    SystemSpec (plus ``omega_b``), CircuitParams, ModeParams and
+    fock.OracleConfig; an omitted key takes its field's default.  Every
+    frequency-like value takes a unit suffix (Hz/kHz/MHz/GHz and so on);
+    unknown sections, keys or units are rejected, and so is any value its
+    parameter class refuses: every failure is a :class:`ConfigError`.
     """
     parser = ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -270,10 +236,10 @@ def load_config(text: str) -> Config:
         unknown = set(parser.sections()) - _SECTIONS
         if unknown:
             raise ConfigError(f"unknown section(s) {sorted(unknown)}")
-        circuit = (_circuit_from_parser(parser)
-                   if parser.has_section("circuit") else None)
+        circuit = _from_section(parser, "circuit", CircuitParams)
         base, omega_b = _base_from_config(parser, circuit)
-        oracle = _oracle_from_config(parser)
+        # [oracle] numbers are dimensionless: plain floats, no unit suffix.
+        oracle = _from_section(parser, "oracle", fock.OracleConfig, number=float)
         swept = None
         if parser.has_section("sweep"):
             section = parser["sweep"]
@@ -322,16 +288,19 @@ def rescale_sweep(spec: SweepSpec) -> SweepSpec:
                    grid=spec.grid / scale, omega_b=None)
 
 
-def _solve_analytic(spec: SystemSpec) -> tuple[float | None, float | None, str]:
+_Outcome = tuple[float | None, float | None, str]
+
+
+def _solve_analytic(spec: SystemSpec, *_) -> _Outcome:
     return analytic.cooling_rate(spec), analytic.final_occupation(spec), ""
 
 
-def _solve_analytic_rwa(spec: SystemSpec) -> tuple[float | None, float | None, str]:
+def _solve_analytic_rwa(spec: SystemSpec, *_) -> _Outcome:
     return (None, analytic.rwa_final_occupation(spec),
             "occupation-only formula (no rate)")
 
 
-def _solve_gaussian(spec: SystemSpec) -> tuple[float | None, float | None, str]:
+def _solve_gaussian(spec: SystemSpec, *_) -> _Outcome:
     model = gaussian.build_drift(spec)
     report = gaussian.stability(model)
     if not report.hurwitz:
@@ -343,8 +312,7 @@ def _solve_gaussian(spec: SystemSpec) -> tuple[float | None, float | None, str]:
             f"drift spectrum; mechanical weight {report.mechanical_weight:.3f}")
 
 
-def _solve_oracle(spec: SystemSpec,
-                  config: fock.OracleConfig) -> tuple[float | None, float | None, str]:
+def _solve_oracle(spec: SystemSpec, config: fock.OracleConfig, *_) -> _Outcome:
     generator = fock.build_generator(spec, config)
     state = fock.steady_state(generator)
     tails = fock.truncation_check(state, config.tail_threshold)
@@ -353,14 +321,26 @@ def _solve_oracle(spec: SystemSpec,
     return None, fock.mode_occupation(state, "a"), note
 
 
-def _solve_semiclassical(spec: SystemSpec,
-                         omega_b: float | None) -> tuple[float | None, float | None, str]:
+def _solve_semiclassical(spec: SystemSpec, _config,
+                         omega_b: float | None) -> _Outcome:
     if omega_b is None:
         return None, None, "needs omega_b (circuit resonance) to place the drive"
     rate = circuit_cooling_rate(g_l=spec.g, f_b=omega_b, kappa0=spec.kappa0,
                                 f_d=omega_b + spec.delta, f_a=spec.omega_a)
     n_f = spec.gamma0 * spec.n_a0 / (spec.gamma0 + rate)
     return rate, n_f, "zero-floor rate balance"
+
+
+# Every solver is called as (point, oracle config, omega_b) and returns
+# (cooling rate, occupation, diagnostic), None where it has no value.
+_SOLVERS = {
+    "analytic": _solve_analytic,
+    "analytic-rwa": _solve_analytic_rwa,
+    "gaussian": _solve_gaussian,
+    "oracle": _solve_oracle,
+    "semiclassical": _solve_semiclassical,
+}
+SOLVER_NAMES = tuple(_SOLVERS)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -378,17 +358,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         diagnostics: dict[str, str] = {}
         for solver in spec.solvers:
             try:
-                if solver == "analytic":
-                    result = _solve_analytic(point)
-                elif solver == "analytic-rwa":
-                    result = _solve_analytic_rwa(point)
-                elif solver == "gaussian":
-                    result = _solve_gaussian(point)
-                elif solver == "oracle":
-                    result = _solve_oracle(point, spec.oracle_config)
-                else:
-                    result = _solve_semiclassical(point, spec.omega_b)
-                rates[solver], occupations[solver], diagnostics[solver] = result
+                rates[solver], occupations[solver], diagnostics[solver] = (
+                    _SOLVERS[solver](point, spec.oracle_config, spec.omega_b))
             except Exception as exc:  # per-row isolation is the contract
                 rates[solver] = None
                 occupations[solver] = None
@@ -500,7 +471,7 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
     occupations["oracle-rwa"] = fock.mode_occupation(rwa_state, "a")
     tails = fock.truncation_check(full_state, oracle_config.tail_threshold)
 
-    rate, n_f, note = _solve_semiclassical(spec, omega_b)
+    rate, n_f, note = _solve_semiclassical(spec, oracle_config, omega_b)
     occupations["semiclassical"] = n_f
     notes["semiclassical"] = f"{note}; Gamma_c = {rate:.6e} Hz"
 

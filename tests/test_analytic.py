@@ -107,12 +107,6 @@ def test_final_occupation_monotone_in_coupling():
     assert all(v < BENCHMARK.n_a0 for v in values)
 
 
-def test_weak_damping_form_agrees_when_cooling_dominates():
-    exact = analytic.final_occupation(BENCHMARK)
-    expanded = analytic.final_occupation_weak_damping(BENCHMARK)
-    assert expanded == pytest.approx(exact, rel=1e-3)
-
-
 def test_rwa_final_occupation_values():
     assert analytic.rwa_final_occupation(BENCHMARK) == pytest.approx(
         0.020, abs=1e-4)

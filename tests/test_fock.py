@@ -104,17 +104,15 @@ def test_occupation_affine_in_bath_occupation(scaled):
     values = {}
     for n_a0 in (0.0, 1.0, 2.0):
         state = steady_state(build_generator(replace(scaled, n_a0=n_a0),
-                                              config), check_unique=False)
+                                              config))
         values[n_a0] = mode_occupation(state, "a")
     residual = abs(values[2.0] - (2 * values[1.0] - values[0.0]))
     assert residual <= 0.01 * values[2.0]
 
 
 def test_doubling_dims_does_not_move_occupations(scaled):
-    small = steady_state(build_generator(scaled, OracleConfig(dims=(8, 4))),
-                         check_unique=False)
-    big = steady_state(build_generator(scaled, OracleConfig(dims=(16, 8))),
-                       check_unique=False)
+    small = steady_state(build_generator(scaled, OracleConfig(dims=(8, 4))))
+    big = steady_state(build_generator(scaled, OracleConfig(dims=(16, 8))))
     tails = truncation_check(small, 1e-6)
     budget = max(10 * max(tails.tail_a, tails.tail_b), 1e-9)
     assert abs(mode_occupation(big, "a")
@@ -148,11 +146,11 @@ def pinned_direct_solve(generator):
     return spsolve(pinned.tocsc(), rhs).reshape((n, n), order="F")
 
 
-def logged_solve(caplog, generator, **kwargs):
+def logged_solve(caplog, generator):
     """Steady state plus the fields of its DEBUG record on ``modcool.fock``."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
-        state = steady_state(generator, **kwargs)
+        state = steady_state(generator)
     (message,) = [r.getMessage() for r in caplog.records
                   if r.name == "modcool.fock"]
     fields = dict(item.split("=") for item in message.split(": ")[1].split())
@@ -283,13 +281,15 @@ def test_liouvillian_changes_k_by_zero_or_two(dims, rates, counter_rotating):
 
 def test_steady_state_log_is_silent_by_default(scaled, caplog):
     generator = build_generator(scaled, OracleConfig(dims=(8, 4)))
-    steady_state(generator, check_unique=False)
+    steady_state(generator)
     assert not [r for r in caplog.records if r.name == "modcool.fock"]
-    _, fields = logged_solve(caplog, generator, check_unique=False)
+    _, fields = logged_solve(caplog, generator)
+    # "krylov" means every even-sector solve (the state's and the gap's)
+    # stayed within its GMRES budget; the count sums them with the odd one.
     assert fields["route"] == "krylov"
-    assert 0 < int(fields["gmres_iterations"]) <= 30
+    assert int(fields["gmres_iterations"]) > 0
     assert float(fields["residual"]) <= 1e-10
-    assert fields["gap"] == "None"
+    assert float(fields["gap"]) > 0
 
 
 def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
@@ -310,18 +310,20 @@ def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
                          - pinned_direct_solve(generator))) <= 1e-10
 
 
-@pytest.mark.parametrize("counter_rotating, check_unique", [
-    (True, False), (False, True), (False, False)])
-def test_singular_liouvillian_is_degenerate(counter_rotating, check_unique):
+@pytest.mark.parametrize("warm_circuit", [False, True])
+@pytest.mark.parametrize("counter_rotating", [True, False])
+def test_singular_liouvillian_is_degenerate(counter_rotating, warm_circuit):
     # The undamped, uncoupled mechanics of
-    # test_degenerate_stationary_subspace_is_rejected, on the other routes:
-    # SuperLU finds the pinned matrix exactly singular.
-    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.0, gamma0=0.0,
-                      kappa0=0.3, n_a0=0.0, n_b0=0.0)
+    # test_degenerate_stationary_subspace_is_rejected, with and without the
+    # pair-creation term, and with a cold or warm circuit bath (the
+    # degeneracy is the mechanics'): SuperLU finds the pinned matrix exactly
+    # singular, and that is reported before the warm state's tail check.
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.0, gamma0=0.0, kappa0=0.3,
+                      n_a0=1.0 if warm_circuit else 0.0, n_b0=0.0)
     config = OracleConfig(dims=(5, 5),
                           include_counter_rotating=counter_rotating)
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state(build_generator(spec, config), check_unique=check_unique)
+    with pytest.raises(DegenerateSteadyStateError, match="exactly singular"):
+        steady_state(build_generator(spec, config))
 
 
 def test_oracle_matches_gaussian_on_random_weak_specs():
@@ -336,8 +338,7 @@ def test_oracle_matches_gaussian_on_random_weak_specs():
                           kappa0=float(rng.uniform(0.15, 0.3)),
                           n_a0=float(rng.uniform(0.1, 1.5)),
                           n_b0=float(rng.uniform(0.0, 0.2)))
-        state = steady_state(build_generator(spec, config),
-                             check_unique=False)
+        state = steady_state(build_generator(spec, config))
         tails = truncation_check(state, config.tail_threshold)
         budget = max(0.01, 10 * max(tails.tail_a, tails.tail_b))
         reference = gaussian.steady_state(gaussian.build_drift(spec))
@@ -367,8 +368,7 @@ def test_truncation_rejection():
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.05,
                       kappa0=0.3, n_a0=0.5, n_b0=0.1)
     with pytest.raises(TruncationError):
-        steady_state(build_generator(spec, OracleConfig(dims=(8, 4))),
-                     check_unique=False)
+        steady_state(build_generator(spec, OracleConfig(dims=(8, 4))))
 
 
 def test_truncation_check_reports():
@@ -396,7 +396,7 @@ def test_mode_occupation_values():
 
 def test_evolve_fixed_point_is_stationary(scaled):
     generator = build_generator(scaled, OracleConfig(dims=(10, 5)))
-    fixed = steady_state(generator, check_unique=False)
+    fixed = steady_state(generator)
     trajectory = evolve(generator, fixed, duration=5.0 / scaled.kappa0,
                         num_points=20)
     occupations = [mode_occupation(s, "a") for s in trajectory.states]

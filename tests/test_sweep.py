@@ -1,10 +1,13 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modcool import SystemSpec, analytic, fock, gaussian, sweep
+from modcool import ModeParams, SystemSpec, analytic, fock, gaussian, sweep
+from modcool.model import build_system
 from modcool.sweep import (
     ConfigError,
     SweepSpec,
@@ -18,7 +21,7 @@ from modcool.sweep import (
     run_sweep,
 )
 
-from conftest import BENCHMARK, SCALED
+from conftest import BENCHMARK, SCALED, benchmark_circuit
 
 MINIMAL_CONFIG = """
 [system]
@@ -112,6 +115,86 @@ def test_parse_config_rejects_missing_key():
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert "kappa0" in str(err.value)
+
+
+# One object per config section with every field set away from its default.
+FULL = {
+    "system": replace(BENCHMARK, n_b0=0.1),
+    "circuit": replace(benchmark_circuit(), c_g=1.0e-15, c_b=0.9e-15),
+    "mechanical": ModeParams(frequency=20e6, damping=2e3, bath_occupation=3.0),
+    "oracle": fock.OracleConfig(dims=(12, 6), include_counter_rotating=False,
+                                tail_threshold=1e-4),
+}
+
+
+def ini_section(name, obj, drop=(), **extra):
+    """Section ``name`` naming every field of ``obj`` not in ``drop``."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)
+              if f.name not in drop} | extra
+    lines = [f"[{name}]"]
+    for key, value in values.items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, tuple):
+            value = ", ".join(map(str, value))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def load_section(name, obj, drop=(), **extra):
+    """What ``load_config`` makes of section ``name`` written from ``obj``,
+    and what it should make of it."""
+    if name == "system":
+        config = load_config(ini_section(name, obj, drop, omega_b=7.5e9,
+                                         **extra))
+        return (config.base, config.omega_b), (obj, 7.5e9)
+    text = ini_section(name, obj, drop, **extra)
+    if name == "mechanical":
+        config = load_config(ini_section("circuit", FULL["circuit"]) + text
+                             + "[drive]\nfrequency = 7.48 GHz\n")
+        return config.base, build_system(FULL["circuit"], obj, 7.48e9)
+    config = load_config(ini_section("system", FULL["system"]) + text)
+    return getattr(config, name), obj
+
+
+@pytest.mark.parametrize("name", FULL)
+def test_config_section_round_trips_every_field(name):
+    loaded, expected = load_section(name, FULL[name])
+    assert loaded == expected
+
+
+@pytest.mark.parametrize("name", FULL)
+def test_config_section_omitted_fields_take_class_defaults(name):
+    obj = FULL[name]
+    optional = {f.name for f in fields(obj) if f.default is not MISSING}
+    assert optional
+    loaded, expected = load_section(name, type(obj)(**{
+        f.name: getattr(obj, f.name) for f in fields(obj)
+        if f.name not in optional}), drop=optional)
+    assert loaded == expected
+
+
+@pytest.mark.parametrize("name", FULL)
+def test_config_section_key_errors(name):
+    obj = FULL[name]
+    with pytest.raises(ConfigError) as err:
+        load_section(name, obj, bogus=1)
+    assert str(err.value) == f"unknown key(s) ['bogus'] in section [{name}]"
+    for field in fields(obj):
+        if field.default is MISSING:
+            with pytest.raises(ConfigError) as err:
+                load_section(name, obj, drop={field.name})
+            assert str(err.value) == (
+                f"missing key(s) ['{field.name}'] in section [{name}]")
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    config = load_config(example)
+    assert config.base == BENCHMARK and config.omega_b == 7.5e9
+    assert config.circuit is not None and config.sweep.grid.size == 201
+    assert config.oracle == fock.OracleConfig(dims=(25, 8))
 
 
 def test_parse_grid():
@@ -396,8 +479,7 @@ def test_compare_all_solvers_collapse_at_zero_coupling():
     occ = {}
     occ["analytic"] = analytic.final_occupation(spec)
     state = fock.steady_state(
-        fock.build_generator(spec, fock.OracleConfig(dims=(16, 4))),
-        check_unique=False)
+        fock.build_generator(spec, fock.OracleConfig(dims=(16, 4))))
     occ["oracle"] = fock.mode_occupation(state, "a")
     from modcool import gaussian
     occ["gaussian"] = gaussian.occupation(
