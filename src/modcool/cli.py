@@ -68,7 +68,8 @@ def _load(args) -> sweep.Config:
     config = sweep.load_config(text)
     swept = config.sweep
     if swept is not None and getattr(args, "grid", None) is not None:
-        swept = replace(swept, grid=sweep.parse_grid(args.grid))
+        grid = sweep.parse_grid(args.grid, swept.parameter)
+        swept = replace(swept, grid=grid)
     if getattr(args, "scaled", False):
         # In units of omega_a a circuit resonance in Hz no longer applies.
         return config._replace(
@@ -162,7 +163,7 @@ def _figure_rows(solvers: tuple[str, ...], grid: np.ndarray,
 
 def _cmd_figure(args) -> int:
     grid = (np.linspace(-1.5, -0.5, 201) * FIGURE_BASE.omega_a
-            if args.grid is None else sweep.parse_grid(args.grid))
+            if args.grid is None else sweep.parse_grid(args.grid, "delta"))
     rows, labels = _figure_rows(args.solvers, grid, args.omega_b)
     _write_text(args.out, sweep.render_csv(rows, labels))
     return 0

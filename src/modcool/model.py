@@ -14,7 +14,7 @@ user passes in or reads out is an ordinary frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from scipy.constants import h, hbar, k as k_B
 
@@ -30,6 +30,11 @@ _MAX_DISPLACEMENT_RATIO = 0.01
 
 # The one Hz -> angular conversion factor of the package.
 TWO_PI = 2.0 * math.pi
+
+
+def _si(unit: str, **kwargs):
+    """A field in SI ``unit``, which config files read; others are numbers."""
+    return field(metadata={"unit": unit}, **kwargs)
 
 
 def _require_finite(**values) -> None:
@@ -101,16 +106,16 @@ class CircuitParams:
         sum with ``c_x0`` to ``c_sigma0``.
     """
 
-    c_x0: float
-    c_sigma0: float
-    inductance: float
-    d0: float
-    delta_x0: float
-    v_c: float
-    resistance: float
-    t0: float
-    c_g: float | None = None
-    c_b: float | None = None
+    c_x0: float = _si("F")
+    c_sigma0: float = _si("F")
+    inductance: float = _si("H")
+    d0: float = _si("m")
+    delta_x0: float = _si("m")
+    v_c: float = _si("V")
+    resistance: float = _si("ohm")
+    t0: float = _si("K")
+    c_g: float | None = _si("F", default=None)
+    c_b: float | None = _si("F", default=None)
 
     def __post_init__(self) -> None:
         _require_finite(**vars(self))
@@ -150,8 +155,8 @@ class ModeParams:
     from the circuit bath temperature when the reduced system is built.
     """
 
-    frequency: float
-    damping: float
+    frequency: float = _si("Hz")
+    damping: float = _si("Hz")
     bath_occupation: float | None = None
 
     def __post_init__(self) -> None:
@@ -206,11 +211,11 @@ class SystemSpec:
         defaults to 0, a circuit cold enough to hold no thermal quanta.
     """
 
-    omega_a: float
-    delta: float
-    g: float
-    gamma0: float
-    kappa0: float
+    omega_a: float = _si("Hz")
+    delta: float = _si("Hz")
+    g: float = _si("Hz")
+    gamma0: float = _si("Hz")
+    kappa0: float = _si("Hz")
     n_a0: float
     n_b0: float = 0.0
 

@@ -11,25 +11,22 @@ gamma0 n_a0 / (gamma0 + Gamma_c) goes to zero as the cooling rate grows.
 Phasor convention: the drive is the real voltage 2 v_c sin(2 pi f_d t),
 i.e. each rotating component has amplitude v_c, and products of real fields
 are averaged over the fast drive period keeping the terms at the mechanical
-frequency.  With that convention the friction reproduces the closed-form
-rate of :func:`circuit_cooling_rate` up to the small lower-sideband
-correction, and equals 4 g_l^2 / kappa0 on the first red sideband.
+frequency.  The circuit fixes the device: eps0 S0 = c_x0 d0, and the beam
+mass is the one its zero-point spread implies at f_a.  The friction is then
+exactly :func:`circuit_cooling_rate` at the upper sideband less the lower
+one, so 4 g_l^2 / kappa0 on the first red sideband less a small correction.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-
-from scipy.constants import epsilon_0
 
 from .model import (
     TWO_PI,
     CircuitParams,
     _require_finite,
     circuit_damping_rate,
-    coupling_constants,
     implied_mass,
     lc_frequency,
 )
@@ -37,62 +34,29 @@ from .model import (
 
 @dataclass(frozen=True)
 class SemiclassicalParams:
-    """Inputs of the circuit-theory backaction model.
-
-    The mass defaults to the value implied by the circuit's zero-point
-    spread at the mechanical frequency.  When the plate area, gap and
-    coupling capacitance are all supplied they should be mutually
-    consistent (eps0 * area / d0 close to c_x0); a mismatch above 20%
-    warns but does not fail, since the area only scales the force.
-    """
+    """The circuit driven at ``drive_frequency``, the beam at ``mech_frequency``."""
 
     circuit: CircuitParams
-    plate_area: float
     drive_frequency: float
     mech_frequency: float
-    mass: float | None = None
-    vacuum_permittivity: float = epsilon_0
 
     def __post_init__(self) -> None:
-        _require_finite(plate_area=self.plate_area,
-                        drive_frequency=self.drive_frequency,
-                        mech_frequency=self.mech_frequency, mass=self.mass,
-                        vacuum_permittivity=self.vacuum_permittivity)
-        if self.plate_area <= 0:
-            raise ValueError(f"plate_area must be positive, got {self.plate_area}")
+        _require_finite(drive_frequency=self.drive_frequency,
+                        mech_frequency=self.mech_frequency)
         if self.drive_frequency <= 0 or self.mech_frequency <= 0:
             raise ValueError("drive and mechanical frequencies must be positive")
-        if self.mass is not None and self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.vacuum_permittivity <= 0:
-            raise ValueError("vacuum_permittivity must be positive")
-        geometric = (self.vacuum_permittivity * self.plate_area
-                     / self.circuit.d0)
-        if abs(geometric - self.circuit.c_x0) > 0.2 * self.circuit.c_x0:
-            warnings.warn(
-                f"eps0*S0/d0 = {geometric:.3e} F differs from c_x0 = "
-                f"{self.circuit.c_x0:.3e} F by more than 20%", stacklevel=2)
-
-    @property
-    def effective_mass(self) -> float:
-        if self.mass is not None:
-            return self.mass
-        return implied_mass(self.mech_frequency, self.circuit.delta_x0)
 
 
 @dataclass(frozen=True)
 class BackactionCoefficients:
     """First-order expansion of the backaction force F ~ lambda x - m Gamma_c dx/dt.
 
-    ``spring_shift`` (N/m) softens the beam, ``friction_rate`` (Hz) is
-    positive for net cooling, and ``island_voltage_gain`` is the
-    dimensionless upper-sideband transfer v_b / (v_c x / d0), with the sign
-    of :func:`island_voltage`.
+    ``spring_shift`` (N/m) softens the beam and ``friction_rate`` (Hz) is
+    positive for net cooling.
     """
 
     spring_shift: float
     friction_rate: float
-    island_voltage_gain: complex
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.spring_shift):
@@ -135,28 +99,26 @@ def island_voltage(params: SemiclassicalParams,
 def backaction_coefficients(params: SemiclassicalParams) -> BackactionCoefficients:
     """Expand the capacitor force to first order in the beam displacement.
 
-    The force -eps0 S0 (V_c - V_b)^2 / (2 (d0 + x)^2) is averaged over the
-    fast drive period keeping the components at the mechanical frequency.
-    Both mixing sidebands f_d +/- f_a are retained: the upper one cools and
-    the lower one heats, so the net friction changes sign between red- and
-    blue-detuned driving.  The constant (x-independent) pull is discarded.
+    The force -eps0 S0 (V_c - V_b)^2 / (2 (d0 + x)^2), with eps0 S0 =
+    c_x0 d0, is averaged over the fast drive period keeping the components
+    at the mechanical frequency.  Both mixing sidebands f_d +/- f_a are
+    retained: the upper one cools and the lower one heats, so the net
+    friction changes sign between red- and blue-detuned driving.  The
+    constant (x-independent) pull is discarded.
     """
     circuit = params.circuit
     omega_plus = TWO_PI * (params.drive_frequency + params.mech_frequency)
     omega_minus = TWO_PI * (params.drive_frequency - params.mech_frequency)
     resp_plus = _island_transfer(circuit, omega_plus)
     resp_minus = _island_transfer(circuit, omega_minus)
-    prefactor = (params.vacuum_permittivity * params.plate_area
-                 * circuit.v_c ** 2 / circuit.d0 ** 3)
+    prefactor = circuit.c_x0 * circuit.v_c ** 2 / circuit.d0 ** 2
     spring_shift = prefactor * (2.0 + (resp_plus + resp_minus).real)
+    mass = implied_mass(params.mech_frequency, circuit.delta_x0)
     omega_a = TWO_PI * params.mech_frequency
     friction_angular = (-prefactor * (resp_plus - resp_minus).imag
-                        / (params.effective_mass * omega_a))
-    return BackactionCoefficients(
-        spring_shift=spring_shift,
-        friction_rate=friction_angular / TWO_PI,
-        island_voltage_gain=resp_plus,
-    )
+                        / (mass * omega_a))
+    return BackactionCoefficients(spring_shift=spring_shift,
+                                  friction_rate=friction_angular / TWO_PI)
 
 
 def circuit_cooling_rate(g_l: float, f_b: float, kappa0: float, f_d: float,
@@ -179,13 +141,3 @@ def circuit_cooling_rate(g_l: float, f_b: float, kappa0: float, f_d: float,
     den = (f_up ** 2 - f_b ** 2) ** 2 + f_up ** 2 * kappa0 ** 2
     return num / den
 
-
-def semiclassical_cooling_rate(params: SemiclassicalParams) -> float:
-    """Closed-form cooling rate evaluated from the circuit parameters."""
-    return circuit_cooling_rate(
-        g_l=coupling_constants(params.circuit).g_l,
-        f_b=lc_frequency(params.circuit),
-        kappa0=circuit_damping_rate(params.circuit),
-        f_d=params.drive_frequency,
-        f_a=params.mech_frequency,
-    )

@@ -32,14 +32,14 @@ SWEEPABLE = ("delta", "g", "kappa0", "gamma0", "n_a0")
 # Mechanical bath occupation of :func:`rescale_for_oracle`'s surrogate spec.
 ORACLE_N_A0_CAP = 1.0
 
+# Unit suffixes by the SI unit of a field (a plain number is in that unit).
 _UNIT_SCALES = {
-    "": 1.0,
-    "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9,
-    "K": 1.0, "mK": 1e-3,
-    "V": 1.0, "mV": 1e-3,
-    "fF": 1e-15,
-    "nH": 1e-9,
-    "nm": 1e-9,
+    "Hz": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
+    "K": {"K": 1.0, "mK": 1e-3},
+    "V": {"V": 1.0, "mV": 1e-3},
+    "F": {"fF": 1e-15},
+    "H": {"nH": 1e-9},
+    "m": {"nm": 1e-9},
 }
 
 _QUANTITY_RE = re.compile(
@@ -50,15 +50,29 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
-def parse_quantity(text: str) -> float:
-    """Parse a number with an optional unit suffix into SI/Hz/K base units."""
+def parse_quantity(text: str, unit: str | None) -> float:
+    """A number in SI ``unit`` (None: dimensionless) or a suffix of it."""
     match = _QUANTITY_RE.fullmatch(text.strip())
     if match is None:
         raise ConfigError(f"cannot parse quantity {text!r}")
-    value, unit = match.groups()
-    if unit not in _UNIT_SCALES:
-        raise ConfigError(f"unknown unit {unit!r} in {text!r}")
-    return float(value) * _UNIT_SCALES[unit]
+    value, suffix = match.groups()
+    if not suffix:
+        return float(value)
+    scales = _UNIT_SCALES.get(unit, {})
+    if suffix not in scales:
+        raise ConfigError(f"unit {suffix!r} in {text!r}: expected a plain "
+                          "number" + (f" in {unit}" if unit else "")
+                          + (f" or a suffix in {list(scales)}" if scales else ""))
+    return float(value) * scales[suffix]
+
+
+def _swept_unit(parameter: str) -> str | None:
+    """Unit of a sweepable SystemSpec field; anything else is refused."""
+    if parameter not in SWEEPABLE:
+        raise ConfigError(f"swept parameter must be one of {SWEEPABLE}, got "
+                          f"{parameter!r}")
+    return next(f.metadata.get("unit") for f in fields(SystemSpec)
+                if f.name == parameter)
 
 
 def _parse_bool(text: str) -> bool:
@@ -82,10 +96,7 @@ class SweepSpec:
     omega_b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ConfigError(
-                f"swept parameter must be one of {SWEEPABLE}, got "
-                f"{self.parameter!r}")
+        _swept_unit(self.parameter)
         grid = np.asarray(self.grid, dtype=float)
         if grid.size == 0:
             raise ConfigError("sweep grid must not be empty")
@@ -121,7 +132,8 @@ class SweepRow:
 
 _DRIVE_KEYS = {"frequency"}
 _SWEEP_KEYS = {"parameter", "grid", "solvers"}
-_SECTIONS = {"system", "circuit", "mechanical", "drive", "sweep", "oracle"}
+_CIRCUIT_ROUTE = ("circuit", "mechanical", "drive")
+_SECTIONS = {"system", *_CIRCUIT_ROUTE, "sweep", "oracle"}
 
 
 def _check_keys(section: str, present, allowed, required) -> None:
@@ -146,50 +158,58 @@ def _parse_dims(text: str) -> tuple[int, int]:
 _FIELD_PARSERS = {"bool": _parse_bool, "tuple[int, int]": _parse_dims}
 
 
-def _from_section(parser: ConfigParser, name: str, cls, number=parse_quantity,
+def _from_section(parser: ConfigParser, name: str, cls,
                   extra: tuple[str, ...] = ()):
     """``cls`` built from section ``name``, or None when it is absent.
 
     The section's keys are the fields of ``cls`` plus ``extra`` (which the
     caller reads); a field with a default may be left out and then takes
-    it.  Numeric fields are read by ``number``.
+    it.  Numbers are read in the unit of their field's metadata.
     """
     if not parser.has_section(name):
         return None
     section = parser[name]
     _check_keys(name, section.keys(), {f.name for f in fields(cls)}.union(extra),
                 {f.name for f in fields(cls) if f.default is MISSING})
-    return cls(**{f.name: _FIELD_PARSERS.get(f.type, number)(section[f.name])
-                  for f in fields(cls) if f.name in section})
+    return cls(**{
+        f.name: (_FIELD_PARSERS[f.type](section[f.name])
+                 if f.type in _FIELD_PARSERS
+                 else parse_quantity(section[f.name], f.metadata.get("unit")))
+        for f in fields(cls) if f.name in section})
 
 
-def _base_from_config(parser: ConfigParser, circuit: CircuitParams | None
-                      ) -> tuple[SystemSpec, float | None]:
-    """Build the base SystemSpec from [system] or [circuit]+[mechanical]+[drive]."""
-    spec = _from_section(parser, "system", SystemSpec, extra=("omega_b",))
-    if spec is not None:
+def _base_from_config(parser: ConfigParser
+                      ) -> tuple[SystemSpec, float | None, CircuitParams | None]:
+    """Base spec, omega_b and circuit from the config's one system route."""
+    route = [f"[{name}]" for name in _CIRCUIT_ROUTE if parser.has_section(name)]
+    if parser.has_section("system"):
+        if route:
+            raise ConfigError("config defines its system twice, by [system] "
+                              f"and by {' + '.join(route)}: use one route")
+        spec = _from_section(parser, "system", SystemSpec, extra=("omega_b",))
         omega_b = parser["system"].get("omega_b")
-        return spec, None if omega_b is None else parse_quantity(omega_b)
-    if circuit is None:
-        raise ConfigError(
-            "config must contain a [system] section or a [circuit] + "
-            "[mechanical] + [drive] group")
-    for name in ("mechanical", "drive"):
-        if not parser.has_section(name):
-            raise ConfigError(f"missing [{name}] section for the circuit route")
+        if omega_b is not None:
+            omega_b = parse_quantity(omega_b, "Hz")
+        return spec, omega_b, None
+    if len(route) < len(_CIRCUIT_ROUTE):
+        raise ConfigError("config must contain a [system] section or a "
+                          "[circuit] + [mechanical] + [drive] group")
+    circuit = _from_section(parser, "circuit", CircuitParams)
     mech = _from_section(parser, "mechanical", ModeParams)
     drive_section = parser["drive"]
     _check_keys("drive", drive_section.keys(), _DRIVE_KEYS, _DRIVE_KEYS)
-    spec = build_system(circuit, mech, parse_quantity(drive_section["frequency"]))
-    return spec, lc_frequency(circuit)
+    spec = build_system(circuit, mech,
+                        parse_quantity(drive_section["frequency"], "Hz"))
+    return spec, lc_frequency(circuit), circuit
 
 
-def parse_grid(text: str) -> np.ndarray:
-    """Parse 'start : stop : n' with unit suffixes into a linear grid."""
+def parse_grid(text: str, parameter: str) -> np.ndarray:
+    """Parse 'start : stop : n', in the unit of the swept ``parameter``."""
+    unit = _swept_unit(parameter)
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be 'start : stop : n', got {text!r}")
-    start, stop = parse_quantity(parts[0]), parse_quantity(parts[1])
+    start, stop = parse_quantity(parts[0], unit), parse_quantity(parts[1], unit)
     try:
         count = int(parts[2].strip())
     except ValueError as exc:
@@ -221,14 +241,14 @@ class Config(NamedTuple):
 def load_config(text: str) -> Config:
     """Parse and validate configuration text.
 
-    Sections: ``[system]`` (or ``[circuit]`` + ``[mechanical]`` + ``[drive]``),
-    and optionally ``[sweep]`` and ``[oracle]``.  The keys of ``[system]``,
-    ``[circuit]``, ``[mechanical]`` and ``[oracle]`` are the fields of
-    SystemSpec (plus ``omega_b``), CircuitParams, ModeParams and
-    fock.OracleConfig; an omitted key takes its field's default.  Every
-    frequency-like value takes a unit suffix (Hz/kHz/MHz/GHz and so on);
-    unknown sections, keys or units are rejected, and so is any value its
-    parameter class refuses: every failure is a :class:`ConfigError`.
+    Sections: ``[system]`` or else ``[circuit]`` + ``[mechanical]`` +
+    ``[drive]``, and optionally ``[sweep]`` and ``[oracle]``.  The keys of
+    ``[system]``, ``[circuit]``, ``[mechanical]`` and ``[oracle]`` are the
+    fields of SystemSpec (plus ``omega_b``), CircuitParams, ModeParams and
+    fock.OracleConfig; an omitted key takes its field's default.  A number
+    may carry a unit suffix of its field's dimension only; unknown sections,
+    keys or units, both system routes at once, and any value its parameter
+    class refuses are rejected: every failure is a :class:`ConfigError`.
     """
     parser = ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -236,17 +256,16 @@ def load_config(text: str) -> Config:
         unknown = set(parser.sections()) - _SECTIONS
         if unknown:
             raise ConfigError(f"unknown section(s) {sorted(unknown)}")
-        circuit = _from_section(parser, "circuit", CircuitParams)
-        base, omega_b = _base_from_config(parser, circuit)
-        # [oracle] numbers are dimensionless: plain floats, no unit suffix.
-        oracle = _from_section(parser, "oracle", fock.OracleConfig, number=float)
+        base, omega_b, circuit = _base_from_config(parser)
+        oracle = _from_section(parser, "oracle", fock.OracleConfig)
         swept = None
         if parser.has_section("sweep"):
             section = parser["sweep"]
             _check_keys("sweep", section.keys(), _SWEEP_KEYS, _SWEEP_KEYS)
+            parameter = section["parameter"].strip()
             swept = SweepSpec(
-                base=base, parameter=section["parameter"].strip(),
-                grid=parse_grid(section["grid"]),
+                base=base, parameter=parameter,
+                grid=parse_grid(section["grid"], parameter),
                 solvers=tuple(s.strip() for s in section["solvers"].split(",")),
                 oracle_config=oracle, omega_b=omega_b)
     except ConfigParserError as exc:
@@ -283,7 +302,7 @@ def rescale_for_oracle(spec: SystemSpec) -> SystemSpec:
 def rescale_sweep(spec: SweepSpec) -> SweepSpec:
     """:func:`rescale_for_oracle` for a sweep: a frequency-valued grid is
     divided by the same omega_a, an n_a0 grid is kept, omega_b is dropped."""
-    scale = 1.0 if spec.parameter == "n_a0" else spec.base.omega_a
+    scale = spec.base.omega_a if _swept_unit(spec.parameter) == "Hz" else 1.0
     return replace(spec, base=rescale_for_oracle(spec.base),
                    grid=spec.grid / scale, omega_b=None)
 
@@ -327,6 +346,8 @@ def _solve_semiclassical(spec: SystemSpec, _config,
         return None, None, "needs omega_b (circuit resonance) to place the drive"
     rate = circuit_cooling_rate(g_l=spec.g, f_b=omega_b, kappa0=spec.kappa0,
                                 f_d=omega_b + spec.delta, f_a=spec.omega_a)
+    if rate + spec.gamma0 == 0:
+        raise ValueError("no stationary occupation: both rates vanish")
     n_f = spec.gamma0 * spec.n_a0 / (spec.gamma0 + rate)
     return rate, n_f, "zero-floor rate balance"
 

@@ -240,6 +240,14 @@ def test_design_command(tmp_path, capsys):
     assert "stationary occupation" in printed
 
 
+def test_design_refuses_a_second_system_route(tmp_path, capsys):
+    # [system] next to the circuit route used to win silently, so design
+    # printed its numbers as if the circuit had derived them
+    config = write(tmp_path, "both.ini", SYSTEM_CONFIG + CIRCUIT_CONFIG)
+    assert main(["design", "--config", config]) == 1
+    assert "config defines its system twice" in capsys.readouterr().err
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     bad = write(tmp_path, "bad.ini", "[system]\nomega_a = 20 MHz\n")
     assert main(["steady", "--config", bad]) == 1

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modcool import ModeParams, SystemSpec, analytic, fock, gaussian, sweep
-from modcool.model import build_system
+from modcool.model import build_system, lc_frequency
 from modcool.sweep import (
     ConfigError,
     SweepSpec,
@@ -64,19 +65,55 @@ solvers = analytic
 
 
 def test_parse_quantity_units():
-    assert parse_quantity("2 MHz") == 2e6
-    assert parse_quantity("2000 kHz") == 2e6
-    assert parse_quantity("-20MHz") == -2e7
-    assert parse_quantity("20 mK") == pytest.approx(0.020, rel=1e-15)
-    assert parse_quantity("25 mV") == pytest.approx(0.025, rel=1e-15)
-    assert parse_quantity("0.6 fF") == pytest.approx(0.6e-15, rel=1e-15)
-    assert parse_quantity("180 nH") == pytest.approx(180e-9, rel=1e-15)
-    assert parse_quantity("100 nm") == pytest.approx(100e-9, rel=1e-15)
-    assert parse_quantity("1.5e-8") == 1.5e-8
+    assert parse_quantity("2 MHz", "Hz") == 2e6
+    assert parse_quantity("2000 kHz", "Hz") == 2e6
+    assert parse_quantity("-20MHz", "Hz") == -2e7
+    assert parse_quantity("20 mK", "K") == pytest.approx(0.020, rel=1e-15)
+    assert parse_quantity("25 mV", "V") == pytest.approx(0.025, rel=1e-15)
+    assert parse_quantity("0.6 fF", "F") == pytest.approx(0.6e-15, rel=1e-15)
+    assert parse_quantity("180 nH", "H") == pytest.approx(180e-9, rel=1e-15)
+    assert parse_quantity("100 nm", "m") == pytest.approx(100e-9, rel=1e-15)
+    assert parse_quantity("1.5e-8", "m") == 1.5e-8
+    assert parse_quantity("1.59155e7", "ohm") == 1.59155e7
+    assert parse_quantity("20", None) == 20.0
     with pytest.raises(ConfigError):
-        parse_quantity("2 parsec")
+        parse_quantity("2 parsec", "m")
     with pytest.raises(ConfigError):
-        parse_quantity("not-a-number")
+        parse_quantity("not-a-number", None)
+    with pytest.raises(ConfigError, match="'mK' in '20 mK': expected a plain "
+                       "number in Hz or a suffix in"):
+        parse_quantity("20 mK", "Hz")
+    with pytest.raises(ConfigError, match="expected a plain number$"):
+        parse_quantity("20 GHz", None)
+    with pytest.raises(ConfigError, match="expected a plain number in ohm$"):
+        parse_quantity("16 MHz", "ohm")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("omega_a = 20 MHz", "omega_a = 20 mK"),
+    ("g = 2 MHz", "g = 2 mV"),
+    ("n_a0 = 20", "n_a0 = 20 GHz"),
+    ("parameter = delta\ngrid = -30 MHz : -10 MHz : 201",
+     "parameter = n_a0\ngrid = 1 MHz : 2 MHz : 3"),
+], ids=["temperature-as-omega_a", "voltage-as-g", "frequency-as-n_a0",
+        "frequency-grid-for-n_a0"])
+def test_config_rejects_a_unit_of_another_dimension(old, new):
+    assert old in MINIMAL_CONFIG
+    with pytest.raises(ConfigError, match="expected a plain number"):
+        load_config(MINIMAL_CONFIG.replace(old, new))
+
+
+def test_config_units_follow_the_field():
+    # dimensionless [oracle] numbers stay plain; [drive] frequency and
+    # omega_b are in Hz
+    with pytest.raises(ConfigError, match="'kHz' in '1 kHz'"):
+        load_config(MINIMAL_CONFIG + "[oracle]\ndims = 8, 4\n"
+                    "tail_threshold = 1 kHz\n")
+    with pytest.raises(ConfigError, match="'mK' in '7.48 mK'"):
+        load_config(CIRCUIT_CONFIG.replace("7479998931.948816 Hz", "7.48 mK"))
+    with pytest.raises(ConfigError, match="'nm' in '7.5 nm'"):
+        load_config(MINIMAL_CONFIG.replace("n_a0 = 20",
+                                           "n_a0 = 20\nomega_b = 7.5 nm"))
 
 
 def test_parse_config_minimal():
@@ -149,10 +186,15 @@ def load_section(name, obj, drop=(), **extra):
                                          **extra))
         return (config.base, config.omega_b), (obj, 7.5e9)
     text = ini_section(name, obj, drop, **extra)
+    drive = "[drive]\nfrequency = 7.48 GHz\n"
     if name == "mechanical":
         config = load_config(ini_section("circuit", FULL["circuit"]) + text
-                             + "[drive]\nfrequency = 7.48 GHz\n")
+                             + drive)
         return config.base, build_system(FULL["circuit"], obj, 7.48e9)
+    if name == "circuit":
+        config = load_config(text + ini_section("mechanical",
+                                                FULL["mechanical"]) + drive)
+        return config.circuit, obj
     config = load_config(ini_section("system", FULL["system"]) + text)
     return getattr(config, name), obj
 
@@ -189,24 +231,46 @@ def test_config_section_key_errors(name):
 
 
 def test_readme_config_example_loads():
+    # one complete config per system route, each with a sweep
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
-    config = load_config(example)
-    assert config.base == BENCHMARK and config.omega_b == 7.5e9
-    assert config.circuit is not None and config.sweep.grid.size == 201
-    assert config.oracle == fock.OracleConfig(dims=(25, 8))
+    reduced, circuit = map(load_config, re.findall(r"```ini\n(.*?)```",
+                                                   readme, re.DOTALL))
+    assert reduced.base == BENCHMARK and reduced.omega_b == 7.5e9
+    assert reduced.circuit is None and reduced.sweep.grid.size == 201
+    assert reduced.oracle == fock.OracleConfig(dims=(25, 8))
+    assert circuit.circuit is not None and circuit.sweep.grid.size == 201
+    assert circuit.base == build_system(
+        circuit.circuit, ModeParams(frequency=20e6, damping=2e3), 7.48e9)
+    assert circuit.omega_b == lc_frequency(circuit.circuit)
+
+
+@pytest.mark.parametrize("route", [
+    CIRCUIT_CONFIG.split("[sweep]")[0],
+    "[mechanical]\ndampng = 2 kHz\n[drive]\ncolour = red\n",
+    "[drive]\nfrequency = 7.48 GHz\n",
+], ids=["whole-circuit-route", "misspelled-mechanical-and-drive",
+        "drive-only"])
+def test_config_defines_its_system_once(route):
+    with pytest.raises(ConfigError) as err:
+        load_config(MINIMAL_CONFIG + route)
+    message = str(err.value)
+    assert "[system]" in message and "[drive]" in message
+    assert message.startswith("config defines its system twice")
 
 
 def test_parse_grid():
-    grid = parse_grid("-30 MHz : -10 MHz : 3")
+    grid = parse_grid("-30 MHz : -10 MHz : 3", "delta")
     assert np.allclose(grid, [-30e6, -20e6, -10e6])
-    assert parse_grid("5 MHz:5 MHz:1").tolist() == [5e6]
+    assert parse_grid("5 MHz:5 MHz:1", "g").tolist() == [5e6]
+    assert parse_grid("0 : 40 : 5", "n_a0").tolist() == [0, 10, 20, 30, 40]
     with pytest.raises(ConfigError):
-        parse_grid("1 MHz : 2 MHz : 0")
+        parse_grid("1 MHz : 2 MHz : 0", "g")
     with pytest.raises(ConfigError):
-        parse_grid("1 MHz : 1 MHz : 5")
+        parse_grid("1 MHz : 1 MHz : 5", "g")
     with pytest.raises(ConfigError):
-        parse_grid("1 MHz : 2 MHz")
+        parse_grid("1 MHz : 2 MHz", "g")
+    with pytest.raises(ConfigError, match="swept parameter must be one of"):
+        parse_grid("1 MHz : 2 MHz : 3", "omega_a")
 
 
 def test_sweep_spec_validation():
@@ -293,6 +357,52 @@ def test_run_sweep_gaussian_and_semiclassical():
     centre = rows[1]
     assert centre.rates["semiclassical"] == pytest.approx(
         4 * BENCHMARK.g ** 2 / BENCHMARK.kappa0, rel=1e-9)
+
+
+def test_semiclassical_sweep_row_without_any_rate():
+    # At g = gamma0 = 0 neither rate is left to balance: that row says so
+    # and the rest of the sweep goes on.
+    spec = SweepSpec(base=replace(BENCHMARK, gamma0=0.0), parameter="g",
+                     grid=np.array([0.0, 1e6, 2e6]),
+                     solvers=("semiclassical",), omega_b=7.5e9)
+    first, *rest = run_sweep(spec)
+    assert first.rates["semiclassical"] is None
+    assert first.occupations["semiclassical"] is None
+    assert first.diagnostics["semiclassical"] == (
+        "ValueError: no stationary occupation: both rates vanish")
+    for row in rest:
+        assert row.rates["semiclassical"] > 0
+        assert row.occupations["semiclassical"] == 0.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(omega_a=st.floats(1e3, 1e9), delta=st.floats(-2.0, -0.2),
+       g=st.floats(0.0, 0.2), gamma0=st.floats(1e-6, 1e-2),
+       kappa0=st.floats(0.01, 1.0), n_a0=st.floats(0.0, 50.0),
+       n_b0=st.floats(0.0, 1.0), omega_b=st.floats(10.0, 1000.0),
+       power=st.integers(-30, 30))
+def test_occupations_are_invariant_under_a_common_rescaling(
+        omega_a, delta, g, gamma0, kappa0, n_a0, n_b0, omega_b, power):
+    # Rates are drawn in units of omega_a.  A power-of-two factor rescales
+    # every input exactly, so what is left is any dependence of the code on
+    # absolute scale, down to the rounding inside pow and the solvers
+    # (3.5e-13 at worst over 4,000 draws).  A general factor would add the
+    # inputs' own rounding, which ill-conditioned Lyapunov solves and the
+    # semiclassical (f_up^2 - f_b^2) amplify up to 7e-11.
+    def occupations(scale):
+        unit = omega_a * scale
+        spec = SystemSpec(omega_a=unit, delta=delta * unit, g=g * unit,
+                          gamma0=gamma0 * unit, kappa0=kappa0 * unit,
+                          n_a0=n_a0, n_b0=n_b0)
+        (row,) = run_sweep(SweepSpec(
+            base=spec, parameter="g", grid=np.array([spec.g]),
+            solvers=("analytic", "gaussian", "semiclassical"),
+            omega_b=omega_b * unit))
+        return row.occupations
+
+    base, scaled = occupations(1.0), occupations(2.0 ** power)
+    for solver, value in base.items():
+        assert scaled[solver] == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def _drift_spectrum_rate(spec: SystemSpec) -> float:
