@@ -6,8 +6,9 @@ as a sparse Liouvillian acting on column-stacked density matrices.  The
 module exists to verify the Gaussian solver and the closed-form results by a
 completely independent route.  Stationary states come from GMRES in the
 even-k sector preconditioned by the LU factor of the RWA Liouvillian (own LU
-where that is too weak); trajectories are ``expm(L t) rho0`` on a time grid,
-propagated in each parity sector of ``rho0`` separately and in real
+where that is too weak), and their gap from an Arnoldi run that starts from
+the RWA model's slowest mode.  Trajectories are ``expm(L t) rho0`` on a time
+grid, propagated in each parity sector of ``rho0`` separately and in real
 arithmetic: ``L`` preserves Hermiticity, so on the real coordinates of a
 Hermitian ``rho`` (diagonal, Re and Im of each upper coherence) it is a real
 matrix.  The stationary route keeps the complex blocks, because that basis
@@ -45,12 +46,16 @@ TRACE_DRIFT_TOL = 1e-8
 # less (it matches 20-50 iterations per gap solve).  The odd block's LU costs
 # about 500, so its one solve gets ten budgets, cut short once a restart
 # cycle's residual reduction projects past them (at g = 0.3 ten cycles reach
-# only 2e-4).  The gap's Krylov dimension needs the fewest solves over
-# g = 0.02-0.05 there.
+# only 2e-4).  The full model's gap Arnoldi run starts from the RWA model's
+# slowest mode.  Its Krylov dimension, one for both models, needs the fewest
+# full-model GMRES iterations (2,239) over g = 0.02, 0.05, 0.08 and 0.1 at
+# (14, 7) and the rescaled figure point at (10, 6) and (14, 7): ncv 5, 7-11
+# and 13 need 2,269-3,129.  ncv 7 and 8 save 6-8% at g = 0.02-0.034, but ncv
+# 8 doubles the cost at the figure point, (10, 6).
 _GMRES_RTOL = 1e-13
 _GAP_SOLVE_RTOL = 1e-10
 _GMRES_BUDGET = 30
-_GAP_NCV = 13
+_GAP_NCV = 6
 _GAP_TOL = 1e-10
 # Minimum degree on A + A^T, diagonal pivots: a third less fill than COLAMD.
 _LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
@@ -140,9 +145,21 @@ class FockGenerator:
             self.config, include_counter_rotating=False))
 
     @cached_property
-    def _factors(self) -> list:
-        return [splu(block, **_LU_OPTIONS)
-                for _, block in _pinned_sectors(self)]
+    def _exact_solve(self) -> tuple[list, _SectorSolution | str]:
+        """Sector LUs of this model without a pair-creation term (``None``
+        where exactly singular), and its sector solution or the reason it is
+        degenerate.  One split of ``L`` serves both and is released after."""
+        sectors = _pinned_sectors(self)
+        factors = []
+        for _, block in sectors:
+            try:
+                factors.append(splu(block, **_LU_OPTIONS))
+            except RuntimeError:  # SuperLU: "Factor is exactly singular"
+                factors.append(None)
+        try:
+            return factors, _solve_sectors(self, sectors, factors, None)
+        except DegenerateSteadyStateError as error:
+            return factors, str(error)  # no traceback: it would hold self
 
 
 @dataclass(frozen=True)
@@ -383,17 +400,33 @@ def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
     return solve
 
 
-def _sector_solve(generator: FockGenerator, parity: int,
-                  block: sp.csc_matrix, iterations: list[int], job):
-    """Route and ``job(solve)`` on one sector block: its RWA factor ("lu"),
-    GMRES preconditioned by it ("krylov"), else its own LU ("lu-fallback")."""
-    full = generator.config.include_counter_rotating
-    rwa = generator.rwa if full else generator  # an RWA model is its own
+@dataclass(frozen=True)
+class _SectorSolution:
+    """What :func:`steady_state` takes from one model's sector blocks."""
+
+    route: str
+    even: np.ndarray  # the even sector's positions in vec(rho)
+    vector: np.ndarray  # its stationary vector, before normalisation
+    gap: float
+    mode: np.ndarray  # Arnoldi's slowest eigenvector of the deflated inverse
+    arnoldi_start: str  # "rwa" or "ones"
+    arnoldi_solves: int
+    iterations: int  # GMRES iterations of both sectors
+    odd_bound: float
+
+
+def _sector_solve(full: bool, factor, block: sp.csc_matrix,
+                  iterations: list[int], job):
+    """Route and ``job(solve)`` on one sector block: the RWA ``factor`` of
+    that sector ("lu"), GMRES preconditioned by it ("krylov"), else the
+    block's own LU ("lu-fallback").  ``factor`` is ``None`` if singular."""
     for route in (["krylov", "lu-fallback"] if full else ["lu"]):
-        try:
-            factor = (splu(block, **_LU_OPTIONS) if route == "lu-fallback"
-                      else rwa._factors[parity])
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        if route == "lu-fallback":
+            try:
+                factor = splu(block, **_LU_OPTIONS)
+            except RuntimeError:  # SuperLU: "Factor is exactly singular"
+                break
+        elif factor is None:
             continue
         solve = (_gmres_solver(block, factor, iterations) if route == "krylov"
                  else lambda rhs, *_, lu=factor: lu.solve(rhs))
@@ -406,22 +439,56 @@ def _sector_solve(generator: FockGenerator, parity: int,
         "is exactly singular")
 
 
-def _stationary(solve, size: int) -> tuple[np.ndarray, float]:
-    """Stationary vector and gap, with ``solve(rhs, rtol) = A^-1 rhs``.
+def _stationary(solve, size: int, start: np.ndarray | None):
+    """Stationary vector, gap, slowest mode and Arnoldi solve count, with
+    ``solve(rhs, rtol) = A^-1 rhs``.
 
     ``B(v) = A^-1 [0; v[1:]]`` is ``L^-1`` on traceless vectors and maps all
-    vectors to traceless ones, so its largest |eigenvalue| is 1/gap.  The
-    all-ones Arnoldi start vector reaches every coherence sector of A.
+    vectors to traceless ones, so its largest |eigenvalue| is 1/gap.  Arnoldi
+    starts from ``start``, the RWA model's slowest mode: the pair-creation
+    term moves the slow modes little, so fewer solves find the full model's.
+    Without one it starts from the all-ones vector, which reaches every
+    coherence sector of A.  The Krylov dimension ``_GAP_NCV`` was chosen on a
+    grid of couplings (see its comment).
     """
     vector = solve(np.eye(1, size, dtype=complex)[0], _GMRES_RTOL)
+    solves = 0
 
     def deflated(v: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        solves += 1
         return solve(np.concatenate(([0.0], v.ravel()[1:])), _GAP_SOLVE_RTOL)
 
     operator = LinearOperator((size, size), matvec=deflated, dtype=complex)
-    value = eigs(operator, k=1, which="LM", ncv=_GAP_NCV, tol=_GAP_TOL,
-                 v0=np.ones(size, dtype=complex), return_eigenvectors=False)[0]
-    return vector, 1.0 / abs(value)
+    values, modes = eigs(operator, k=1, which="LM", ncv=_GAP_NCV, tol=_GAP_TOL,
+                         v0=np.ones(size, dtype=complex) if start is None
+                         else start)
+    return vector, 1.0 / abs(values[0]), modes[:, 0], solves
+
+
+def _solve_sectors(generator: FockGenerator, sectors: list, factors: list,
+                   start: np.ndarray | None) -> _SectorSolution:
+    """The even sector's state and gap and the odd sector's bound (see
+    :func:`steady_state`) on the pinned ``sectors``, with the RWA model's
+    sector ``factors`` and Arnoldi ``start``."""
+    full = generator.config.include_counter_rotating
+    (even, even_block), (odd, odd_block) = sectors
+    iterations: list[int] = []
+    route, (vector, gap, mode, solves) = _sector_solve(
+        full, factors[0], even_block, iterations,
+        lambda solve: _stationary(solve, even.size, start))
+    _check_gap(generator.spec, gap, "spectral gap")
+    v = np.random.default_rng(0).standard_normal(2 * odd.size).view(complex)
+    _, x = _sector_solve(full, factors[1], odd_block, iterations, lambda solve:
+                         solve(v, _GAP_SOLVE_RTOL, 10 * _GMRES_BUDGET))
+    theta = math.sqrt(1e-6 / odd.size)  # 1e-6: the failure probability
+    odd_bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
+        v - odd_block @ x)) / np.linalg.norm(x))
+    _check_gap(generator.spec, odd_bound, "odd-sector singular value")
+    return _SectorSolution(
+        route=route, even=even, vector=vector, gap=gap, mode=mode,
+        arnoldi_start="ones" if start is None else "rwa",
+        arnoldi_solves=solves, iterations=sum(iterations), odd_bound=odd_bound)
 
 
 def steady_state(generator: FockGenerator) -> DensityState:
@@ -431,40 +498,44 @@ def steady_state(generator: FockGenerator) -> DensityState:
     e_0`` (that block, row 0 the trace) is solved by GMRES preconditioned by
     the LU of the same block of the RWA part of ``L`` (P. D. Nation,
     arXiv:1504.06768), exact without a pair-creation term, else by the LU of
-    ``A``.  The gap comes from the same solves, and ``x = L_oo^-1 v``, ``v``
-    a seeded complex Gaussian of size m, bounds sigma_min(L_oo) >= (theta
-    |v| - |v - L_oo x|) / |x| but for a chance below m theta^2 = 1e-6 (J. D.
-    Dixon, SIAM J. Numer. Anal. 20, 812 (1983)).  A gap or bound under 1e-7
-    of the slowest dissipation rate, or a singular LU, raises
+    ``A``.  The gap comes from an Arnoldi run on the same solves.  The RWA
+    model solves its sectors once, beside its LUs (``steady_state(g.rwa)``
+    reuses that), and the full model's Arnoldi starts from the RWA model's
+    slowest even mode; from the all-ones vector where the RWA model is
+    singular or degenerate.  ``x = L_oo^-1 v``, ``v`` a seeded complex
+    Gaussian of size m, bounds sigma_min(L_oo) >= (theta |v| - |v - L_oo x|)
+    / |x| but for a chance below m theta^2 = 1e-6 (J. D. Dixon, SIAM J.
+    Numer. Anal. 20, 812 (1983)).  A gap or bound under 1e-7 of the slowest
+    dissipation rate, or a singular LU, raises
     :class:`DegenerateSteadyStateError`.  The state must meet
     ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
-    check; route, iterations, residual, gap, sectors and bound go to DEBUG.
+    check; route, iterations, residual, gap, sectors, bound and the Arnoldi
+    start and solve count go to DEBUG.
     """
     config = generator.config
-    (even, even_block), (odd, odd_block) = _pinned_sectors(generator)
-    iterations: list[int] = []
-    route, (vector, gap) = _sector_solve(
-        generator, 0, even_block, iterations,
-        lambda solve: _stationary(solve, even.size))
-    _check_gap(generator.spec, gap, "spectral gap")
-    v = np.random.default_rng(0).standard_normal(2 * odd.size).view(complex)
-    _, x = _sector_solve(generator, 1, odd_block, iterations, lambda solve:
-                         solve(v, _GAP_SOLVE_RTOL, 10 * _GMRES_BUDGET))
-    theta = math.sqrt(1e-6 / odd.size)  # 1e-6: the failure probability
-    odd_bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
-        v - odd_block @ x)) / np.linalg.norm(x))
-    _check_gap(generator.spec, odd_bound, "odd-sector singular value")
+    if config.include_counter_rotating:
+        factors, rwa = generator.rwa._exact_solve
+        solution = _solve_sectors(
+            generator, _pinned_sectors(generator), factors,
+            rwa.mode if isinstance(rwa, _SectorSolution) else None)
+    else:
+        _, solution = generator._exact_solve
+        if isinstance(solution, str):
+            raise DegenerateSteadyStateError(solution)
     n = config.dims[0] * config.dims[1]
     rho = np.zeros(n * n, dtype=complex)
-    rho[even] = vector
+    rho[solution.even] = solution.vector
     rho = _hermitize(_unvec(rho, n))
     rho = rho / rho.trace().real
     tolerance = RESIDUAL_TOL * max(1.0, np.abs(generator.matrix.data).max())
     resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
                                 compute_uv=False).sum())
     logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "
-                 "gap=%s sectors=%d/%d odd_bound=%s", route, sum(iterations),
-                 resid, gap, even.size, odd.size, odd_bound)
+                 "gap=%s sectors=%d/%d odd_bound=%s arnoldi_start=%s "
+                 "arnoldi_solves=%d", solution.route, solution.iterations,
+                 resid, solution.gap, solution.even.size,
+                 n * n - solution.even.size, solution.odd_bound,
+                 solution.arnoldi_start, solution.arnoldi_solves)
     if not resid <= tolerance:
         raise RuntimeError(
             f"stationary residual {resid:.3e} exceeds {tolerance:.3e}")

@@ -12,6 +12,7 @@ import csv
 import re
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from io import StringIO
 from typing import NamedTuple
 
@@ -64,6 +65,14 @@ def parse_quantity(text: str, unit: str | None) -> float:
                           "number" + (f" in {unit}" if unit else "")
                           + (f" or a suffix in {list(scales)}" if scales else ""))
     return float(value) * scales[suffix]
+
+
+def _named(key: str, parse, text: str):
+    """``parse(text)``; a failure names ``key``, e.g. ``[system] omega_a``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _swept_unit(parameter: str) -> str | None:
@@ -172,9 +181,9 @@ def _from_section(parser: ConfigParser, name: str, cls,
     _check_keys(name, section.keys(), {f.name for f in fields(cls)}.union(extra),
                 {f.name for f in fields(cls) if f.default is MISSING})
     return cls(**{
-        f.name: (_FIELD_PARSERS[f.type](section[f.name])
-                 if f.type in _FIELD_PARSERS
-                 else parse_quantity(section[f.name], f.metadata.get("unit")))
+        f.name: _named(f"[{name}] {f.name}", _FIELD_PARSERS.get(f.type)
+                       or partial(parse_quantity, unit=f.metadata.get("unit")),
+                       section[f.name])
         for f in fields(cls) if f.name in section})
 
 
@@ -189,7 +198,8 @@ def _base_from_config(parser: ConfigParser
         spec = _from_section(parser, "system", SystemSpec, extra=("omega_b",))
         omega_b = parser["system"].get("omega_b")
         if omega_b is not None:
-            omega_b = parse_quantity(omega_b, "Hz")
+            omega_b = _named("[system] omega_b",
+                             partial(parse_quantity, unit="Hz"), omega_b)
         return spec, omega_b, None
     if len(route) < len(_CIRCUIT_ROUTE):
         raise ConfigError("config must contain a [system] section or a "
@@ -198,8 +208,9 @@ def _base_from_config(parser: ConfigParser
     mech = _from_section(parser, "mechanical", ModeParams)
     drive_section = parser["drive"]
     _check_keys("drive", drive_section.keys(), _DRIVE_KEYS, _DRIVE_KEYS)
-    spec = build_system(circuit, mech,
-                        parse_quantity(drive_section["frequency"], "Hz"))
+    spec = build_system(circuit, mech, _named(
+        "[drive] frequency", partial(parse_quantity, unit="Hz"),
+        drive_section["frequency"]))
     return spec, lc_frequency(circuit), circuit
 
 
@@ -265,7 +276,8 @@ def load_config(text: str) -> Config:
             parameter = section["parameter"].strip()
             swept = SweepSpec(
                 base=base, parameter=parameter,
-                grid=parse_grid(section["grid"], parameter),
+                grid=_named("[sweep] grid", partial(
+                    parse_grid, parameter=parameter), section["grid"]),
                 solvers=tuple(s.strip() for s in section["solvers"].split(",")),
                 oracle_config=oracle, omega_b=omega_b)
     except ConfigParserError as exc:

@@ -181,6 +181,9 @@ def test_gap_matches_dense_spectrum(g, counter_rotating, route, caplog):
     generator = build_generator(spec, config)
     _, fields = logged_solve(caplog, generator)
     assert fields["route"] == route
+    # The full model's Arnoldi run starts from the RWA model's slowest mode.
+    assert fields["arnoldi_start"] == ("rwa" if counter_rotating else "ones")
+    assert int(fields["arnoldi_solves"]) > 0
     rates = np.sort(np.abs(np.linalg.eigvals(generator.matrix.toarray())))
     assert rates[0] <= 1e-10 * rates[-1]
     assert float(fields["gap"]) == pytest.approx(rates[1], rel=1e-8)
@@ -306,6 +309,35 @@ def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
     monkeypatch.setattr(fock, "_liouvillian", zero_rwa_part)
     state, fields = logged_solve(caplog, generator)
     assert fields["route"] == "lu-fallback"
+    assert fields["arnoldi_start"] == "ones"
+    assert np.max(np.abs(state.matrix
+                         - pinned_direct_solve(generator))) <= 1e-10
+
+
+def test_degenerate_rwa_model_starts_arnoldi_from_ones(monkeypatch, caplog):
+    # A nearly zero odd column leaves the RWA model's LUs regular but its
+    # stationary subspace degenerate, so its slowest mode seeds nothing.
+    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=0.05,
+                      kappa0=0.3, n_a0=0.05, n_b0=0.0)
+    config = OracleConfig(dims=(6, 4), tail_threshold=1e-4)
+    generator = build_generator(spec, config)
+    column = parity_sectors(config.dims)[1][3]
+    liouvillian = fock._liouvillian
+
+    def degenerate_rwa_part(spec, config):
+        matrix = liouvillian(spec, config)
+        if config.include_counter_rotating:
+            return matrix
+        matrix = matrix.tolil()
+        matrix[:, column] = 1e-13 * matrix[:, column]
+        return matrix.tocsr()
+
+    monkeypatch.setattr(fock, "_liouvillian", degenerate_rwa_part)
+    for _ in range(2):  # the stored outcome raises again
+        with pytest.raises(DegenerateSteadyStateError, match="odd-sector"):
+            steady_state(generator.rwa)
+    state, fields = logged_solve(caplog, generator)
+    assert fields["arnoldi_start"] == "ones"
     assert np.max(np.abs(state.matrix
                          - pinned_direct_solve(generator))) <= 1e-10
 

@@ -116,6 +116,26 @@ def test_config_units_follow_the_field():
                                            "n_a0 = 20\nomega_b = 7.5 nm"))
 
 
+@pytest.mark.parametrize("old, new, start", [
+    ("omega_a = 20 MHz", "omega_a = 20 mK",
+     "[system] omega_a: unit 'mK' in '20 mK'"),
+    ("n_a0 = 20", "n_a0 = twenty", "[system] n_a0: cannot parse quantity"),
+    ("n_a0 = 20", "n_a0 = 20\nomega_b = 7.5 nm",
+     "[system] omega_b: unit 'nm'"),
+    ("-30 MHz : -10 MHz", "-30 MHz : -10 mK", "[sweep] grid: unit 'mK'"),
+    ("-30 MHz : -10 MHz", "-30 MHz : ten", "[sweep] grid: cannot parse"),
+    ("7479998931.948816 Hz", "7.48 mK", "[drive] frequency: unit 'mK'"),
+    ("c_x0 = 0.6 fF", "c_x0 = 0,6 fF", "[circuit] c_x0: cannot parse"),
+], ids=["unit", "number", "omega_b", "grid-unit", "grid-number",
+        "drive-unit", "circuit-number"])
+def test_config_value_errors_name_section_and_key(old, new, start):
+    config = MINIMAL_CONFIG if old in MINIMAL_CONFIG else CIRCUIT_CONFIG
+    assert old in config
+    with pytest.raises(ConfigError) as err:
+        load_config(config.replace(old, new))
+    assert str(err.value).startswith(start)
+
+
 def test_parse_config_minimal():
     spec = load_config(MINIMAL_CONFIG).sweep
     assert spec.base == replace(BENCHMARK, n_b0=0.0)
@@ -581,6 +601,28 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     # preconditioner of the full model too.
     assert factors == [(512, 512), (512, 512)]
     assert report.backaction_gap > 0
+
+
+def test_compare_runs_each_arnoldi_once(scaled, monkeypatch):
+    # One gap run per model: the full model's starts from the RWA model's
+    # slowest mode, and the RWA model's own steady state reuses its run.
+    # Each model's sectors are split once.
+    runs, splits = [], []
+    eigs, pinned_sectors = fock.eigs, fock._pinned_sectors
+
+    def counted_eigs(operator, **kwargs):
+        runs.append(operator.shape)
+        return eigs(operator, **kwargs)
+
+    def counted_pinned_sectors(generator):
+        splits.append(generator.config.include_counter_rotating)
+        return pinned_sectors(generator)
+
+    monkeypatch.setattr(fock, "eigs", counted_eigs)
+    monkeypatch.setattr(fock, "_pinned_sectors", counted_pinned_sectors)
+    compare(scaled, fock.OracleConfig(dims=(8, 4)))
+    assert runs == [(512, 512), (512, 512)]
+    assert sorted(splits) == [False, True]
 
 
 def test_compare_all_solvers_collapse_at_zero_coupling():
