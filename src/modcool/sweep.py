@@ -157,10 +157,12 @@ def _check_keys(section: str, present, allowed, required) -> None:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"oracle dims must be 'N_a, N_b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:  # a wrong count of parts fails to unpack with ValueError too
+        n_a, n_b = map(int, text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"oracle dims must be 'N_a, N_b', got {text!r}") from None
+    return n_a, n_b
 
 
 # Parsers of the field types that are not numbers, keyed by annotation.

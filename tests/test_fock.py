@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import expm_multiply, spsolve
 
 from modcool import SystemSpec, analytic, fock, gaussian
+from modcool.cli import SCALED_BASE
 from modcool.fock import (
     DegenerateSteadyStateError,
     DensityState,
@@ -493,6 +494,13 @@ def test_evolve_thermal_start_stays_even():
         assert not np.any(state.matrix.reshape(-1, order="F")[odd])
 
 
+def evolve_log_fields(caplog):
+    """``key=value`` fields of the one ``evolve:`` DEBUG line captured."""
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.name == "modcool.fock"]
+    return dict(item.split("=") for item in message.split(": ")[1].split())
+
+
 @pytest.mark.parametrize("mixed, evolved", [(False, "even"), (True, "even,odd")])
 def test_evolve_log_is_silent_by_default(mixed, evolved, caplog):
     generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
@@ -502,11 +510,66 @@ def test_evolve_log_is_silent_by_default(mixed, evolved, caplog):
     assert not [r for r in caplog.records if r.name == "modcool.fock"]
     with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
         evolve(generator, initial, duration=1.0, num_points=3)
-    (message,) = [r.getMessage() for r in caplog.records
-                  if r.name == "modcool.fock"]
-    fields = dict(item.split("=") for item in message.split(": ")[1].split())
+    fields = evolve_log_fields(caplog)
     even, odd = parity_sectors(SECTOR_CONFIG.dims)
+    substeps = fields.pop("substeps").split(",")
+    assert len(substeps) == len(evolved.split(","))
+    assert all(int(s) >= 1 for s in substeps)
+    assert int(fields.pop("matvecs")) >= 2 * len(substeps)
     assert fields == {"sectors": f"{even.size}/{odd.size}", "evolved": evolved}
+
+
+def assert_matches_expm_multiply(generator, initial, trajectory, rtol=1e-12):
+    """Each snapshot of ``trajectory`` within ``rtol`` (relative to max |rho|)
+    of scipy's ``expm_multiply`` run on each sector's :func:`fock._real_form`
+    and renormalised like :func:`evolve`'s."""
+    n = initial.matrix.shape[0]
+    times = trajectory.times
+    start = initial.matrix.reshape(-1, order="F")
+    vectors = np.zeros((times.size, n * n), dtype=complex)
+    for index in parity_sectors(generator.config.dims):
+        basis, inverse, real = fock._real_form(
+            index, generator.matrix[index][:, index], n)
+        snapshots = expm_multiply(real, (inverse @ start[index]).real,
+                                  start=0.0, stop=times[-1], num=times.size,
+                                  endpoint=True)
+        vectors[:, index] = (basis @ snapshots.T).T
+    for state, vector in zip(trajectory.states, vectors, strict=True):
+        rho = vector.reshape((n, n), order="F")
+        rho = rho / rho.trace().real
+        assert np.abs(state.matrix - rho).max() <= rtol * np.abs(rho).max()
+
+
+def test_evolve_at_relaxation_point_matches_expm_multiply(caplog):
+    # perfbench's relaxation operation: 6,596 products measured, where
+    # expm_multiply makes about 7,280.
+    generator = build_generator(SCALED_BASE, OracleConfig(dims=(14, 7)))
+    initial = thermal_density((14, 7), 0.3, SCALED_BASE.n_b0)
+    with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
+        trajectory = evolve(generator, initial, 5.0 / SCALED_BASE.kappa0,
+                            num_points=50)
+    assert int(evolve_log_fields(caplog)["matvecs"]) <= 6700
+    assert_matches_expm_multiply(generator, initial, trajectory)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(dims=st.tuples(st.integers(3, 5), st.integers(2, 4)),
+       rates=st.lists(st.floats(0.0, 2.0), min_size=5, max_size=5),
+       closed=st.booleans(), mixed=st.booleans(),
+       duration=st.floats(0.1, 20.0), num_points=st.integers(2, 30))
+def test_evolve_matches_expm_multiply_on_random_specs(
+        dims, rates, closed, mixed, duration, num_points):
+    omega_a, delta, g, gamma0, kappa0 = rates
+    if closed:
+        gamma0 = kappa0 = 0.0
+    spec = SystemSpec(omega_a=omega_a + 0.1, delta=-delta, g=g, gamma0=gamma0,
+                      kappa0=kappa0, n_a0=0.2, n_b0=0.1)
+    config = OracleConfig(dims=dims, tail_threshold=0.9)
+    generator = build_generator(spec, config)
+    initial = (mixed_parity_state(dims) if mixed
+               else thermal_density(dims, 0.3, 0.2))
+    assert_matches_expm_multiply(generator, initial, evolve(
+        generator, initial, duration, num_points))
 
 
 def test_evolve_rejects_non_hermiticity_preserving_generator():

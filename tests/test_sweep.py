@@ -136,6 +136,14 @@ def test_config_value_errors_name_section_and_key(old, new, start):
     assert str(err.value).startswith(start)
 
 
+@pytest.mark.parametrize("dims", ["8", "8, 4, 2", "8, x", "8.5, 4", ""])
+def test_config_rejects_malformed_oracle_dims(dims):
+    with pytest.raises(ConfigError) as err:
+        load_config(MINIMAL_CONFIG + f"[oracle]\ndims = {dims}\n")
+    assert str(err.value) == (f"[oracle] dims: oracle dims must be "
+                              f"'N_a, N_b', got {dims!r}")
+
+
 def test_parse_config_minimal():
     spec = load_config(MINIMAL_CONFIG).sweep
     assert spec.base == replace(BENCHMARK, n_b0=0.0)
