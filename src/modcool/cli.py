@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "semiclassical forms)",
              ("analytic", "semiclassical"), FIGURE_OMEGA_B)):
         p = sub.add_parser(name, help=help_text)
-        add_common(p, scaled=False)
+        p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--grid", help="override grid, 'start:stop:n' with units")
         p.set_defaults(func=_cmd_figure, solvers=solvers, omega_b=omega_b)
 
@@ -296,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # solver-level failure
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        # Solver and domain errors; a programming error keeps its traceback.
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

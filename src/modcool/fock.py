@@ -153,12 +153,7 @@ class FockGenerator:
         where exactly singular), and its sector solution or the reason it is
         degenerate.  One split of ``L`` serves both and is released after."""
         sectors = _pinned_sectors(self)
-        factors = []
-        for _, block in sectors:
-            try:
-                factors.append(splu(block, **_LU_OPTIONS))
-            except RuntimeError:  # SuperLU: "Factor is exactly singular"
-                factors.append(None)
+        factors = [_factor(block) for _, block in sectors]
         try:
             return factors, _solve_sectors(self, sectors, factors, None)
         except DegenerateSteadyStateError as error:
@@ -273,10 +268,6 @@ def thermal_density(dims: tuple[int, int], n_a: float,
         raise ValueError("occupations must be non-negative")
 
     def weights(dim: int, n: float) -> np.ndarray:
-        if n == 0:
-            w = np.zeros(dim)
-            w[0] = 1.0
-            return w
         w = (n / (n + 1.0)) ** np.arange(dim)
         return w / w.sum()
 
@@ -418,28 +409,31 @@ class _SectorSolution:
     odd_bound: float
 
 
+def _factor(block: sp.csc_matrix):
+    """SuperLU factor of ``block``, or ``None`` if exactly singular."""
+    try:
+        return splu(block, **_LU_OPTIONS)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+
+
 def _sector_solve(full: bool, factor, block: sp.csc_matrix,
                   iterations: list[int], job):
-    """Route and ``job(solve)`` on one sector block: the RWA ``factor`` of
-    that sector ("lu"), GMRES preconditioned by it ("krylov"), else the
-    block's own LU ("lu-fallback").  ``factor`` is ``None`` if singular."""
-    for route in (["krylov", "lu-fallback"] if full else ["lu"]):
-        if route == "lu-fallback":
-            try:
-                factor = splu(block, **_LU_OPTIONS)
-            except RuntimeError:  # SuperLU: "Factor is exactly singular"
-                break
-        elif factor is None:
-            continue
-        solve = (_gmres_solver(block, factor, iterations) if route == "krylov"
-                 else lambda rhs, *_, lu=factor: lu.solve(rhs))
+    """Route and ``job(solve)`` on one sector block: GMRES preconditioned by
+    the RWA ``factor`` of that sector ("krylov") for the full model, falling
+    back to the block's own LU ("lu-fallback"); the RWA model uses ``factor``
+    itself ("lu").  ``factor`` is ``None`` if singular."""
+    if full and factor is not None:
         try:
-            return route, job(solve)
+            return "krylov", job(_gmres_solver(block, factor, iterations))
         except _KrylovFailed:
-            continue
-    raise DegenerateSteadyStateError(
-        "stationary subspace is degenerate: the trace-pinned Liouvillian "
-        "is exactly singular")
+            pass
+    route, factor = ("lu-fallback", _factor(block)) if full else ("lu", factor)
+    if factor is None:
+        raise DegenerateSteadyStateError(
+            "stationary subspace is degenerate: the trace-pinned Liouvillian "
+            "is exactly singular")
+    return route, job(lambda rhs, *_: factor.solve(rhs))
 
 
 def _stationary(solve, size: int, start: np.ndarray | None):

@@ -18,12 +18,6 @@ from dataclasses import dataclass, field
 
 from scipy.constants import h, hbar, k as k_B
 
-# Switch points of the Bose-factor evaluation.  Above the large-x point the
-# occupation is replaced by exp(-x), below the small-x point by 1/x - 1/2;
-# both branches stay within 1e-12 relative of 1/(exp(x)-1) at the switch.
-_BOSE_LARGE_X = 30.0
-_BOSE_SMALL_X = 1e-6
-
 # Largest zero-point-spread to gap ratio for which the first-order expansion
 # of the motion-dependent capacitance is trusted.
 _MAX_DISPLACEMENT_RATIO = 0.01
@@ -58,8 +52,9 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     Returns
     -------
     float
-        1/(exp(h f / k_B T) - 1), evaluated on overflow/underflow-safe
-        branches.  Exactly 0.0 at zero temperature.
+        1/(exp(x) - 1) with x = h f / k_B T, written exp(-x)/(1 - exp(-x))
+        so that no x overflows and both factors keep full relative
+        precision.  Exactly 0.0 at zero temperature.
     """
     _require_finite(frequency=frequency, temperature=temperature)
     if frequency <= 0:
@@ -69,11 +64,7 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     if temperature == 0:
         return 0.0
     x = h * frequency / (k_B * temperature)
-    if x > _BOSE_LARGE_X:
-        return math.exp(-x)
-    if x < _BOSE_SMALL_X:
-        return 1.0 / x - 0.5
-    return 1.0 / math.expm1(x)
+    return math.exp(-x) / -math.expm1(-x)
 
 
 @dataclass(frozen=True)
@@ -100,10 +91,6 @@ class CircuitParams:
         Dissipative element setting the circuit linewidth (ohm).
     t0 : float
         Bath temperature (K).
-    c_g, c_b : float or None
-        Optional component capacitances.  They do not enter the reduced
-        dynamics (only ``c_sigma0`` does) but, when both are given, they must
-        sum with ``c_x0`` to ``c_sigma0``.
     """
 
     c_x0: float = _si("F")
@@ -114,8 +101,6 @@ class CircuitParams:
     v_c: float = _si("V")
     resistance: float = _si("ohm")
     t0: float = _si("K")
-    c_g: float | None = _si("F", default=None)
-    c_b: float | None = _si("F", default=None)
 
     def __post_init__(self) -> None:
         _require_finite(**vars(self))
@@ -135,16 +120,6 @@ class CircuitParams:
             raise ValueError(
                 f"delta_x0/d0 = {ratio:.3g} is outside the linearised-"
                 f"capacitance regime (limit {_MAX_DISPLACEMENT_RATIO})")
-        for name in ("c_g", "c_b"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when given")
-        if self.c_g is not None and self.c_b is not None:
-            total = self.c_x0 + self.c_g + self.c_b
-            if not math.isclose(total, self.c_sigma0, rel_tol=1e-6):
-                raise ValueError(
-                    f"c_x0 + c_g + c_b = {total:.6g} F does not sum to "
-                    f"c_sigma0 = {self.c_sigma0:.6g} F")
 
 
 @dataclass(frozen=True)

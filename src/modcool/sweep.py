@@ -382,8 +382,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every requested solver on every grid point.
 
     Rows are computed in grid order and are independent of each other; a
-    solver failure on one point is recorded in that row's diagnostics and
-    never aborts the sweep.
+    solver failure on one point (an ``ArithmeticError``, ``RuntimeError`` or
+    ``ValueError``, which covers the package's own errors, SuperLU, ARPACK
+    and ``LinAlgError``) is recorded in that row's diagnostics and never
+    aborts the sweep.  Any other exception is a programming error and
+    propagates.
     """
     rows = []
     for value in spec.grid:
@@ -395,7 +398,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             try:
                 rates[solver], occupations[solver], diagnostics[solver] = (
                     _SOLVERS[solver](point, spec.oracle_config, spec.omega_b))
-            except Exception as exc:  # per-row isolation is the contract
+            except (ArithmeticError, RuntimeError, ValueError) as exc:
                 rates[solver] = None
                 occupations[solver] = None
                 diagnostics[solver] = f"{type(exc).__name__}: {exc}"

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modcool import analytic
+from modcool import analytic, sweep
 from modcool.cli import main
 from modcool.sweep import load_config, rescale_for_oracle
 
@@ -196,6 +196,13 @@ def test_fig3_reproduction(tmp_path):
     assert np.max(np.abs(circuit - quantum)) / quantum.max() < 0.01
 
 
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_figure_commands_take_no_config(tmp_path, capsys, command):
+    config = write(tmp_path, "system.ini", SYSTEM_CONFIG)
+    assert main([command, "--config", config]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
 def test_compare_command(tmp_path, capsys):
     config = write(tmp_path, "scaled.ini", SCALED_COMPARE_CONFIG)
     assert main(["compare", "--config", config]) == 0
@@ -286,6 +293,16 @@ solvers = gaussian
     assert main(["sweep", "--config", config, "--out", str(out)]) == 2
     text = out.read_text()
     assert "unstable" in text
+
+
+def test_programming_errors_are_not_solver_errors(tmp_path, monkeypatch):
+    def broken(spec, oracle_config, omega_b):
+        raise TypeError("a programming error, not a solver failure")
+
+    monkeypatch.setitem(sweep._SOLVERS, "analytic", broken)
+    config = write(tmp_path, "system.ini", SYSTEM_CONFIG)
+    with pytest.raises(TypeError, match="programming error"):
+        main(["steady", "--config", config, "--solvers", "analytic"])
 
 
 def test_exit_code_io_error(tmp_path):

@@ -111,6 +111,39 @@ def test_lyapunov_residual_contract():
         assert physicality_margin(state) >= -1e-9
 
 
+def counted_lyapunov(monkeypatch, scale=1.0):
+    """Count ``gaussian``'s Lyapunov solves, each scaled by ``scale``."""
+    calls = []
+    solve = gaussian.solve_continuous_lyapunov
+
+    def counted(a, q):
+        calls.append(1)
+        return scale * solve(a, q)
+
+    monkeypatch.setattr(gaussian, "solve_continuous_lyapunov", counted)
+    return calls
+
+
+def test_steady_state_refines_past_the_residual_rounding_floor(monkeypatch):
+    # Rates seven decades apart: the first pass misses 1e-10 ||D|| by its
+    # rounding floor alone, and one correction solve settles it.
+    spec = SystemSpec(omega_a=20e6, delta=-25e6, g=100, gamma0=2,
+                      kappa0=2e3, n_a0=2000)
+    calls = counted_lyapunov(monkeypatch)
+    state = steady_state(build_drift(spec))
+    assert len(calls) >= 2
+    assert occupation(state, "a") == pytest.approx(
+        analytic.final_occupation(spec), rel=1e-8)
+
+
+def test_steady_state_raises_when_refinement_never_settles(monkeypatch):
+    # Doubled solves swing V between 2 V and 0 for good.
+    calls = counted_lyapunov(monkeypatch, scale=2.0)
+    with pytest.raises(RuntimeError, match="did not settle"):
+        steady_state(build_drift(SCALED))
+    assert len(calls) == 4
+
+
 def test_steady_state_requires_hurwitz():
     blue = replace(BENCHMARK, delta=+20e6)
     with pytest.raises(StabilityError) as err:

@@ -185,7 +185,7 @@ def test_parse_config_rejects_missing_key():
 # One object per config section with every field set away from its default.
 FULL = {
     "system": replace(BENCHMARK, n_b0=0.1),
-    "circuit": replace(benchmark_circuit(), c_g=1.0e-15, c_b=0.9e-15),
+    "circuit": benchmark_circuit(),
     "mechanical": ModeParams(frequency=20e6, damping=2e3, bath_occupation=3.0),
     "oracle": fock.OracleConfig(dims=(12, 6), include_counter_rotating=False,
                                 tail_threshold=1e-4),
@@ -233,15 +233,26 @@ def test_config_section_round_trips_every_field(name):
     assert loaded == expected
 
 
-@pytest.mark.parametrize("name", FULL)
+def optional_fields(obj):
+    return {f.name for f in fields(obj) if f.default is not MISSING}
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, obj in FULL.items() if optional_fields(obj)])
 def test_config_section_omitted_fields_take_class_defaults(name):
     obj = FULL[name]
-    optional = {f.name for f in fields(obj) if f.default is not MISSING}
-    assert optional
+    optional = optional_fields(obj)
     loaded, expected = load_section(name, type(obj)(**{
         f.name: getattr(obj, f.name) for f in fields(obj)
         if f.name not in optional}), drop=optional)
     assert loaded == expected
+
+
+def test_config_rejects_the_dropped_component_capacitances():
+    text = CIRCUIT_CONFIG.replace("t0 = 20 mK", "t0 = 20 mK\nc_g = 1 fF")
+    with pytest.raises(ConfigError) as err:
+        load_config(text)
+    assert str(err.value) == "unknown key(s) ['c_g'] in section [circuit]"
 
 
 @pytest.mark.parametrize("name", FULL)
@@ -372,6 +383,18 @@ def test_run_sweep_isolates_row_failures():
         assert row.occupations["analytic"] == pytest.approx(20.0)
         assert row.occupations["analytic-rwa"] is None
         assert row.diagnostics["analytic-rwa"] != ""
+
+
+def broken_solver(spec, oracle_config, omega_b):
+    raise TypeError("a programming error, not a solver failure")
+
+
+def test_run_sweep_propagates_programming_errors(monkeypatch):
+    monkeypatch.setitem(sweep._SOLVERS, "analytic", broken_solver)
+    spec = SweepSpec(base=BENCHMARK, parameter="delta",
+                     grid=np.array([-20e6]), solvers=("analytic",))
+    with pytest.raises(TypeError, match="programming error"):
+        run_sweep(spec)
 
 
 def test_run_sweep_gaussian_and_semiclassical():
