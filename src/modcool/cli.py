@@ -60,7 +60,7 @@ def _exit_code(rows: list[sweep.SweepRow], solvers: tuple[str, ...]) -> int:
 
 
 def _load(args) -> sweep.Config:
-    """Parse ``--config`` once, then apply ``--grid`` and ``--scaled``."""
+    """Parse ``--config`` once, then apply ``--grid``."""
     if args.config is None:
         raise ConfigError(f"{args.command} needs --config")
     with open(args.config, "r") as handle:
@@ -70,11 +70,6 @@ def _load(args) -> sweep.Config:
     if swept is not None and getattr(args, "grid", None) is not None:
         grid = sweep.parse_grid(args.grid, swept.parameter)
         swept = replace(swept, grid=grid)
-    if getattr(args, "scaled", False):
-        # In units of omega_a a circuit resonance in Hz no longer applies.
-        return config._replace(
-            base=sweep.rescale_for_oracle(config.base), omega_b=None,
-            sweep=None if swept is None else sweep.rescale_sweep(swept))
     return config._replace(sweep=swept)
 
 
@@ -227,13 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "cross-solver comparisons.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scaled=True):
+    def add_common(p):
         p.add_argument("--config", help="configuration file")
         p.add_argument("--out", help="output file (default: stdout)")
-        if scaled:
-            p.add_argument("--scaled", action="store_true",
-                           help="rescale to omega_a = 1 and cap n_a0 at 1 "
-                                "(oracle-safe units)")
 
     p = sub.add_parser("steady", help="stationary occupation at the "
                                       "configured point")
@@ -276,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="circuit parameters -> reduced system "
                                       "report")
-    add_common(p, scaled=False)
+    add_common(p)
     p.set_defaults(func=_cmd_design)
     return parser
 

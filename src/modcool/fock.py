@@ -16,8 +16,10 @@ pairs k with -k and so merges the RWA's k-blocks: the LU fill of the (14, 7)
 RWA even block rises from 0.18M to 0.79M.
 
 Frequencies in the :class:`~modcool.model.SystemSpec` are ordinary (Hz) and
-are converted to angular units here; evolution times are seconds.  Stationary
-states are invariant under that overall scale.
+are converted to angular units here; evolution times are seconds.  The
+stationary solve has no unit of its own: its trace row is weighted by omega_a,
+so a common rescaling of the rates by a power of two leaves the state, the
+route and the iteration counts bit-identical.
 """
 
 from __future__ import annotations
@@ -317,10 +319,12 @@ def _sectors(generator: FockGenerator) -> list[tuple[np.ndarray, sp.csr_matrix]]
 
 def _pinned_sectors(
         generator: FockGenerator) -> list[tuple[np.ndarray, sp.csc_matrix]]:
-    """:func:`_sectors` as solved: row 0 of the even block becomes the trace."""
+    """:func:`_sectors` as solved: row 0 of the even block becomes the trace,
+    weighted by omega_a so that it scales with the rates of the other rows."""
     n = generator.config.dims[0] * generator.config.dims[1]
     (even, even_block), (odd, odd_block) = _sectors(generator)
-    trace_row = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, even])
+    trace_row = sp.csr_matrix(
+        generator.spec.omega_a * np.eye(n).reshape(1, -1)[:, even])
     return [(even, sp.vstack([trace_row, even_block[1:]], format="csc")),
             (odd, odd_block.tocsc())]
 
@@ -492,15 +496,15 @@ def steady_state(generator: FockGenerator) -> DensityState:
     """Stationary density matrix of the Liouvillian ``L``.
 
     The state lies in the even-k block of ``L`` (:func:`_sectors`): ``A x =
-    e_0`` (that block, row 0 the trace) is solved by GMRES preconditioned by
-    the LU of the same block of the RWA part of ``L`` (P. D. Nation,
-    arXiv:1504.06768), exact without a pair-creation term, else by the LU of
-    ``A``.  The gap comes from an Arnoldi run on the same solves.  The RWA
-    model solves its sectors once, beside its LUs (``steady_state(g.rwa)``
-    reuses that), and the full model's Arnoldi starts from the RWA model's
-    slowest even mode; from the all-ones vector where the RWA model is
-    singular or degenerate.  ``x = L_oo^-1 v``, ``v`` a seeded complex
-    Gaussian of size m, bounds sigma_min(L_oo) >= (theta |v| - |v - L_oo x|)
+    e_0`` (that block, row 0 omega_a times the trace) is solved by GMRES
+    preconditioned by the LU of the same block of the RWA part of ``L`` (P.
+    D. Nation, arXiv:1504.06768), exact without a pair-creation term, else by
+    the LU of ``A``.  The gap comes from an Arnoldi run on the same solves.
+    The RWA model solves its sectors once, beside its LUs
+    (``steady_state(g.rwa)`` reuses that), and the full model's Arnoldi
+    starts from the RWA model's slowest even mode; from the all-ones vector
+    where the RWA model is singular or degenerate.  ``x = L_oo^-1 v``, ``v``
+    a seeded complex Gaussian of size m, bounds sigma_min(L_oo) >= (theta |v| - |v - L_oo x|)
     / |x| but for a chance below m theta^2 = 1e-6 (J. D. Dixon, SIAM J.
     Numer. Anal. 20, 812 (1983)).  A gap or bound under 1e-7 of the slowest
     dissipation rate, or a singular LU, raises
@@ -524,7 +528,7 @@ def steady_state(generator: FockGenerator) -> DensityState:
     rho[solution.even] = solution.vector
     rho = _hermitize(_unvec(rho, n))
     rho = rho / rho.trace().real
-    tolerance = RESIDUAL_TOL * max(1.0, np.abs(generator.matrix.data).max())
+    tolerance = RESIDUAL_TOL * np.abs(generator.matrix.data).max()
     resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
                                 compute_uv=False).sum())
     logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "

@@ -54,7 +54,9 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     float
         1/(exp(x) - 1) with x = h f / k_B T, written exp(-x)/(1 - exp(-x))
         so that no x overflows and both factors keep full relative
-        precision.  Exactly 0.0 at zero temperature.
+        precision.  Exactly 0.0 at zero temperature.  An x that underflows
+        to 0 raises ``ValueError``: there the occupation k_B T / (h f)
+        overflows.
     """
     _require_finite(frequency=frequency, temperature=temperature)
     if frequency <= 0:
@@ -64,6 +66,10 @@ def thermal_occupation(frequency: float, temperature: float) -> float:
     if temperature == 0:
         return 0.0
     x = h * frequency / (k_B * temperature)
+    if x == 0:
+        raise ValueError(
+            f"h f / k_B T underflows to 0 at frequency {frequency} Hz and "
+            f"temperature {temperature} K: the occupation overflows")
     return math.exp(-x) / -math.expm1(-x)
 
 

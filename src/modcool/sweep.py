@@ -30,8 +30,6 @@ from .model import (
 from .semiclassical import circuit_cooling_rate
 
 SWEEPABLE = ("delta", "g", "kappa0", "gamma0", "n_a0")
-# Mechanical bath occupation of :func:`rescale_for_oracle`'s surrogate spec.
-ORACLE_N_A0_CAP = 1.0
 
 # Unit suffixes by the SI unit of a field (a plain number is in that unit).
 _UNIT_SCALES = {
@@ -289,36 +287,6 @@ def load_config(text: str) -> Config:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return Config(base, omega_b, oracle, circuit, swept)
-
-
-def rescale_for_oracle(spec: SystemSpec) -> SystemSpec:
-    """Express a spec in units of its mechanical frequency and cap n_a0.
-
-    Occupations are invariant under a common rescaling of all five rates, so
-    setting omega_a = 1 changes nothing physical; capping the mechanical
-    bath occupation at ``ORACLE_N_A0_CAP`` is what makes Fock truncations
-    small.
-    The capped spec is a surrogate: every closed-form occupation here is
-    affine in n_a0, so full-scale numbers are recovered by that linearity.
-    """
-    s = spec.omega_a
-    return SystemSpec(
-        omega_a=1.0,
-        delta=spec.delta / s,
-        g=spec.g / s,
-        gamma0=spec.gamma0 / s,
-        kappa0=spec.kappa0 / s,
-        n_a0=min(spec.n_a0, ORACLE_N_A0_CAP),
-        n_b0=spec.n_b0,
-    )
-
-
-def rescale_sweep(spec: SweepSpec) -> SweepSpec:
-    """:func:`rescale_for_oracle` for a sweep: a frequency-valued grid is
-    divided by the same omega_a, an n_a0 grid is kept, omega_b is dropped."""
-    scale = spec.base.omega_a if _swept_unit(spec.parameter) == "Hz" else 1.0
-    return replace(spec, base=rescale_for_oracle(spec.base),
-                   grid=spec.grid / scale, omega_b=None)
 
 
 _Outcome = tuple[float | None, float | None, str]

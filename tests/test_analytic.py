@@ -85,6 +85,15 @@ def test_final_occupation_benchmark():
                                                                  abs=1e-5)
 
 
+def test_final_occupation_affine_in_bath_occupation():
+    def occupation(n_a0):
+        return analytic.final_occupation(replace(BENCHMARK, n_a0=n_a0))
+
+    slope = occupation(1.0) - occupation(0.0)
+    assert occupation(0.0) + slope * BENCHMARK.n_a0 == pytest.approx(
+        occupation(BENCHMARK.n_a0), rel=1e-12)
+
+
 def test_final_occupation_limits():
     assert analytic.final_occupation(replace(BENCHMARK, gamma0=0.0)) == \
         pytest.approx(analytic.backaction_floor(BENCHMARK), rel=1e-12)

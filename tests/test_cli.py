@@ -1,11 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from modcool import analytic, sweep
+from modcool import sweep
 from modcool.cli import main
-from modcool.sweep import load_config, rescale_for_oracle
 
 SYSTEM_CONFIG = """
 [system]
@@ -109,36 +106,6 @@ def test_sweep_grid_override(tmp_path):
     assert values[0] == -25e6 and values[-1] == -15e6
 
 
-@pytest.mark.parametrize("parameter, grid, override, expected", [
-    ("delta", "-30 MHz : -10 MHz : 5", None, [-1.5, -1.25, -1.0, -0.75, -0.5]),
-    ("delta", "-30 MHz : -10 MHz : 5", "-25 MHz:-15 MHz:3",
-     [-1.25, -1.0, -0.75]),
-    ("g", "0.5 MHz : 2 MHz : 4", None, [0.025, 0.05, 0.075, 0.1]),
-    ("n_a0", "0.5 : 4 : 3", None, [0.5, 2.25, 4.0]),
-], ids=["delta", "delta-grid-override", "g", "n_a0-unscaled"])
-def test_scaled_sweep_rescales_frequency_grids(tmp_path, parameter, grid,
-                                               override, expected):
-    config = write(tmp_path, "sweep.ini", SYSTEM_CONFIG + f"""
-[sweep]
-parameter = {parameter}
-grid = {grid}
-solvers = analytic-rwa, gaussian
-""")
-    out = tmp_path / "scaled.csv"
-    argv = ["sweep", "--config", config, "--scaled", "--out", str(out)]
-    if override is not None:
-        argv += ["--grid", override]
-    assert main(argv) == 0
-    values = read_csv_column(out, "swept_value")
-    np.testing.assert_allclose(values, expected, rtol=1e-14)
-    base = rescale_for_oracle(load_config(SYSTEM_CONFIG).base)
-    want = [analytic.rwa_final_occupation(replace(base, **{parameter: v}))
-            for v in values]
-    np.testing.assert_allclose(read_csv_column(out, "n_f_analytic-rwa"),
-                               want, rtol=1e-12)
-    assert np.all(read_csv_column(out, "gamma_c_gaussian") > 0)
-
-
 @pytest.mark.parametrize("parameter, grid, override", [
     ("delta", "1e999 MHz : -10 MHz : 1", None),
     ("g", "-1 MHz : 1 MHz : 3", None),
@@ -201,6 +168,17 @@ def test_figure_commands_take_no_config(tmp_path, capsys, command):
     config = write(tmp_path, "system.ini", SYSTEM_CONFIG)
     assert main([command, "--config", config]) == 1
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["steady"], ["evolve", "--duration", "5e-7"], ["sweep"], ["compare"]],
+    ids=["steady", "evolve", "sweep", "compare"])
+def test_no_command_takes_scaled(tmp_path, capsys, command):
+    # A config is solved in the units it is written in.
+    config = write(tmp_path, "sweep.ini", SWEEP_CONFIG)
+    argv = command + ["--config", config, "--out", str(tmp_path / "x")]
+    assert main(argv + ["--scaled"]) == 1
+    assert "--scaled" in capsys.readouterr().err
 
 
 def test_compare_command(tmp_path, capsys):

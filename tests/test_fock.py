@@ -172,6 +172,23 @@ def test_steady_state_matches_pinned_direct_solve(g, route, caplog):
         mode_occupation(reference_state, "a"), rel=1e-10)
 
 
+@pytest.mark.parametrize("power", [-30, -10, 10, 27])
+def test_steady_state_is_independent_of_the_frequency_unit(power, caplog):
+    # A power-of-two unit rescales every rate, and with the trace row
+    # weighted by omega_a every row of the pinned block, exactly: the state,
+    # the route and the GMRES iterations must not move by a bit.
+    def solve(scale):
+        spec = replace(SCALED_BASE, **{
+            name: getattr(SCALED_BASE, name) * scale
+            for name in ("omega_a", "delta", "g", "gamma0", "kappa0")})
+        state, fields = logged_solve(
+            caplog, build_generator(spec, OracleConfig(dims=(8, 4))))
+        return (mode_occupation(state, "a"), fields["route"],
+                fields["gmres_iterations"])
+
+    assert solve(2.0 ** power) == solve(1.0)
+
+
 @pytest.mark.parametrize("g, counter_rotating, route", [
     (0.02, True, "krylov"), (0.2, True, "lu-fallback"), (0.2, False, "lu")])
 def test_gap_matches_dense_spectrum(g, counter_rotating, route, caplog):

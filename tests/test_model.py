@@ -63,6 +63,12 @@ def test_thermal_occupation_rejects_bad_inputs():
         thermal_occupation(1e6, -0.1)
 
 
+def test_thermal_occupation_rejects_an_underflowing_ratio():
+    # h f / k_B T underflows to 0: the occupation k_B T / (h f) overflows.
+    with pytest.raises(ValueError, match=r"4e-292 Hz .* 0\.02 K"):
+        thermal_occupation(4e-292, 0.02)
+
+
 def test_lc_frequency_benchmark_circuit():
     # Inductance inverted from f_b = 7.5 GHz at C_sigma0 = 2.5 fF.
     circuit = benchmark_circuit()

@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 from dataclasses import MISSING, fields, replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modcool import ModeParams, SystemSpec, analytic, fock, gaussian, sweep
+from modcool import ModeParams, SystemSpec, analytic, cli, fock, gaussian, sweep
 from modcool.model import build_system, lc_frequency
 from modcool.sweep import (
     ConfigError,
@@ -17,8 +18,6 @@ from modcool.sweep import (
     parse_grid,
     parse_quantity,
     render_csv,
-    rescale_for_oracle,
-    rescale_sweep,
     run_sweep,
 )
 
@@ -570,35 +569,6 @@ dims = 12, 6
     assert oracle_config == fock.OracleConfig(dims=(12, 6))
 
 
-def test_rescale_for_oracle():
-    scaled = rescale_for_oracle(BENCHMARK)
-    assert scaled.omega_a == 1.0
-    assert scaled.delta == -1.0
-    assert scaled.g == pytest.approx(0.1)
-    assert scaled.kappa0 == pytest.approx(0.2)
-    assert scaled.n_a0 == 1.0
-    # occupations are scale-invariant, so closed forms must agree after
-    # undoing the bath cap through affinity in n_a0
-    full = analytic.final_occupation(BENCHMARK)
-    floor = analytic.final_occupation(replace(BENCHMARK, n_a0=0.0))
-    unit = analytic.final_occupation(replace(scaled, n_a0=1.0))
-    assert floor + (unit - analytic.final_occupation(
-        replace(scaled, n_a0=0.0))) * BENCHMARK.n_a0 == pytest.approx(
-        full, rel=1e-12)
-
-
-def test_rescale_sweep():
-    spec = SweepSpec(base=BENCHMARK, parameter="g",
-                     grid=np.array([1e6, 2e6]), solvers=("analytic",),
-                     omega_b=7.5e9)
-    scaled = rescale_sweep(spec)
-    assert scaled.base == rescale_for_oracle(BENCHMARK)
-    np.testing.assert_allclose(scaled.grid, [0.05, 0.1], rtol=1e-15)
-    assert scaled.omega_b is None
-    bath = replace(spec, parameter="n_a0", grid=np.array([0.5, 4.0]))
-    assert rescale_sweep(bath).grid.tolist() == [0.5, 4.0]
-
-
 def test_compare_report(scaled):
     report = compare(scaled, fock.OracleConfig(dims=(12, 6)))
     occ = report.occupations
@@ -610,6 +580,20 @@ def test_compare_report(scaled):
     assert report.tails.ok
     text = report.render()
     assert "oracle-full" in text and "relative difference" in text
+
+
+def test_compare_solves_the_paper_system_in_hz(caplog):
+    # The figure system as configured: n_a0 = 20 and rates in Hz.  The full
+    # model stays on the preconditioned route, as it does at omega_a = 1.
+    with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
+        report = compare(cli.FIGURE_BASE, fock.OracleConfig(dims=(14, 7)),
+                         omega_b=cli.FIGURE_OMEGA_B)
+    full, rwa = [r.getMessage() for r in caplog.records
+                 if r.name == "modcool.fock"]
+    assert "route=krylov " in full and "route=lu " in rwa
+    assert report.spec.n_a0 == 20.0
+    occ = report.occupations
+    assert occ["oracle-full"] == pytest.approx(occ["gaussian"], rel=1e-8)
 
 
 def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
