@@ -6,7 +6,7 @@ omega_a = 1, delta = -1, kappa0 = 0.2, gamma0 = 1e-3, g = 0.02.  Occupations
 are invariant under the overall frequency rescaling, and every closed form
 here is affine in n_a0, so nothing is lost.
 
-Five stationary occupations are compared, and the difference between the
+Six stationary occupations are compared, and the difference between the
 full and exchange-only master equations is held against the closed-form
 backaction floor kappa0^2/(16 omega_a^2) -- the floor exists because of the
 pair-creation half of the coupling, and vanishes with it.
@@ -18,13 +18,15 @@ of the density matrix) against the exact covariance propagation.
 import numpy as np
 
 from modcool import SystemSpec, fock, gaussian, sweep
+from modcool.cli import SCALED_OMEGA_B
 
 point = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=1e-3, kappa0=0.2,
                    n_a0=1.0, n_b0=0.0)
 
 # truncation (14, 7) is already converged to ~1e-9 here; the acceptance
 # suite repeats this at (25, 8)
-report = sweep.compare(point, fock.OracleConfig(dims=(14, 7)))
+report = sweep.compare(point, fock.OracleConfig(dims=(14, 7)),
+                       omega_b=SCALED_OMEGA_B)
 print(report.render())
 
 gap, floor = report.backaction_gap, report.backaction_floor

@@ -36,6 +36,9 @@ FIGURE_COUPLINGS = (2e6, 1e6)
 SCALED_BASE = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=1e-3,
                          kappa0=0.2, n_a0=1.0, n_b0=0.0)
 SCALED_DIMS = (25, 8)
+# The built-in point's circuit resonance in units of omega_a: the figure
+# circuit's ratio 7.5 GHz / 20 MHz = 375.
+SCALED_OMEGA_B = FIGURE_OMEGA_B / FIGURE_BASE.omega_a
 
 
 def _default_solvers(text: str | None) -> tuple[str, ...]:
@@ -168,7 +171,7 @@ def _cmd_compare(args) -> int:
     if args.config is None:
         base = SCALED_BASE
         oracle_config = fock.OracleConfig(dims=SCALED_DIMS)
-        omega_b = None
+        omega_b = SCALED_OMEGA_B
     else:
         base, omega_b, oracle_config, _, _ = _load(args)
         if oracle_config is None:

@@ -112,6 +112,8 @@ class DensityState:
         matrix = np.asarray(self.matrix, dtype=complex)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} != {(n, n)}")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("matrix must be finite")
         herm = np.max(np.abs(matrix - matrix.conj().T))
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix deviates from Hermitian by {herm:.3e}")

@@ -6,9 +6,13 @@ covariance follows dV/dt = A V + V A^T + D.  Quadratures are
 X = (c + c^dag)/sqrt(2), P = -i(c - c^dag)/sqrt(2) with [X, P] = i and vacuum
 variance 1/2, ordered as (X_a, P_a, X_b, P_b).
 
-The moment equations are linear with constant coefficients, so trajectories
-are propagated exactly by matrix exponentials rather than integrated
-numerically (see :func:`evolve`).
+The steady state and the trajectories share one vectorised moment operator
+K = A (x) I + I (x) A, the 16 x 16 matrix with K vec V = vec(A V + V A^T)
+(row-major vec).  The steady state is one LU solve K vec V = -vec D (see
+:func:`steady_state`), and the moment equations, linear with constant
+coefficients, are propagated exactly by one matrix exponential of a
+generator built around K rather than integrated numerically (see
+:func:`evolve`).
 
 The :class:`~modcool.model.SystemSpec` carries ordinary frequencies in Hz;
 the drift and diffusion matrices are assembled in angular units (1/s) so
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm
 
 from .model import SystemSpec, _require_finite, angular_rates
 
@@ -37,11 +41,7 @@ SYMPLECTIC_FORM = np.array([
 
 # Tolerances of the physicality and solver contracts.
 PHYSICALITY_TOL = 1e-9
-LYAPUNOV_RTOL = 1e-10
-# Refinement of a Lyapunov solution that misses LYAPUNOV_RTOL: at most this
-# many correction solves, accepted once a correction is below this share of V.
-_LYAPUNOV_REFINEMENTS = 3
-_LYAPUNOV_CORRECTION_RTOL = 1e-12
+LYAPUNOV_RTOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 
 # (X, P) positions of each mode in the quadrature ordering.
@@ -84,6 +84,9 @@ class CovarianceState:
         cov = np.asarray(self.covariance, dtype=float)
         if mean.shape != (4,) or cov.shape != (4, 4):
             raise ValueError("mean must be length 4 and covariance 4x4")
+        for name, value in (("mean", mean), ("covariance", cov)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         asym = np.max(np.abs(cov - cov.T))
         if asym > _SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
             raise ValueError(f"covariance asymmetric by {asym:.3e}")
@@ -216,14 +219,21 @@ def _occupations(means: np.ndarray, covariances: np.ndarray,
                   + means[:, x] ** 2 + means[:, p] ** 2 - 1.0)
 
 
+def _moment_operator(drift: np.ndarray) -> np.ndarray:
+    """K = A (x) I + I (x) A, so that K vec V = vec(A V + V A^T)."""
+    identity = np.eye(len(drift))
+    return np.kron(drift, identity) + np.kron(identity, drift)
+
+
 def steady_state(model: DriftModel) -> CovarianceState:
     """Stationary Gaussian state solving A V + V A^T + D = 0.
 
-    Raises :class:`StabilityError` when the drift is not Hurwitz.  The
-    returned covariance satisfies the Lyapunov equation to within
-    1e-10 * ||D||_F, or else is refined until a correction moves it by at
-    most 1e-12 * ||V||_F (``RuntimeError`` after three that do not), and
-    it meets the physicality bound V + i Omega/2 >= 0.
+    Raises :class:`StabilityError` when the drift is not Hurwitz.  V comes
+    from one LU solve of K vec V = -vec D with the moment operator
+    K = A (x) I + I (x) A, and is symmetrised.  Its backward error must
+    meet ||A V + V A^T + D||_F <= 1e-12 (2 ||A||_F ||V||_F + ||D||_F)
+    (``RuntimeError`` otherwise), and it meets the physicality bound
+    V + i Omega/2 >= 0.
     """
     report = stability(model)
     if not report.hurwitz:
@@ -232,23 +242,13 @@ def steady_state(model: DriftModel) -> CovarianceState:
             f"drift is not Hurwitz: eigenvalue {worst:.6g} has "
             f"non-negative real part")
     a, d = model.drift, model.diffusion
-    v = solve_continuous_lyapunov(a, -d)
+    v = np.linalg.solve(_moment_operator(a), -d.ravel()).reshape(4, 4)
     v = 0.5 * (v + v.T)
-    settled = (np.linalg.norm(a @ v + v @ a.T + d)
-               <= LYAPUNOV_RTOL * np.linalg.norm(d))
-    # The residual cannot fall below its rounding floor, about eps ||A|| ||V||,
-    # which can exceed that test where rates are far apart; a correction that
-    # no longer moves V then marks the solution as exact.
-    refinements = 0
-    while not settled:
-        if refinements == _LYAPUNOV_REFINEMENTS:
-            raise RuntimeError(f"Lyapunov refinement did not settle within "
-                               f"{refinements} corrections")
-        correction = solve_continuous_lyapunov(a, -(a @ v + v @ a.T + d))
-        v = 0.5 * ((v + correction) + (v + correction).T)
-        refinements += 1
-        settled = (np.linalg.norm(correction)
-                   <= _LYAPUNOV_CORRECTION_RTOL * np.linalg.norm(v))
+    residual = np.linalg.norm(a @ v + v @ a.T + d)
+    scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d)
+    if not residual <= LYAPUNOV_RTOL * scale:
+        raise RuntimeError(f"Lyapunov backward error {residual / scale:.3e} "
+                           f"exceeds {LYAPUNOV_RTOL:.0e}")
     state = CovarianceState(mean=np.zeros(4), covariance=v)
     margin = physicality_margin(state)
     if margin < -PHYSICALITY_TOL:
@@ -262,48 +262,30 @@ def evolve(model: DriftModel, initial: CovarianceState, duration: float,
     """Propagate means and covariance exactly over ``duration`` seconds.
 
     Returns ``num_points`` evenly spaced snapshots starting at t = 0.  The
-    moment equations have constant coefficients, so one step dt of the
-    output grid is exact:
+    column (m, vec V, 1) obeys one linear ODE with constant generator
 
-        m <- E m,    V <- E V E^T + Q,
+        G = [[A, 0, 0], [0, K, vec D], [0, 0, 0]]    (21 x 21),
 
-    with E = expm(A dt) and Q = int_0^dt expm(A s) D expm(A^T s) ds.  Over a
-    short step h both come from one Van Loan block exponential,
-    expm([[-A, D], [0, A^T]] h) = [[., F], [0, E(h)^T]] and Q(h) = E(h) F
-    (C. F. Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  The -A
-    block grows where A decays, so Q(h) cancels terms of size
-    exp(||A|| h); h = dt / 2**s is therefore chosen with ||A||_1 h <= 1 and
-    doubled back up s times with Q(2h) = E(h) Q(h) E(h)^T + Q(h),
-    E(2h) = E(h)^2.  This holds for any drift, Hurwitz or not, and for any
-    output spacing.
+    K = A (x) I + I (x) A, so one step dt of the output grid is exactly
+    expm(G dt), taken once and applied ``num_points - 1`` times.  This holds
+    for any drift, Hurwitz or not, and for any output spacing.
     """
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
     if num_points < 2:
         raise ValueError("num_points must be at least 2")
     a, d = model.drift, model.diffusion
-    times = np.linspace(0.0, duration, num_points)
+    generator = np.zeros((21, 21))
+    generator[:4, :4] = a
+    generator[4:20, 4:20] = _moment_operator(a)
+    generator[4:20, 20] = d.ravel()
     dt = duration / (num_points - 1)
-    # frexp's exponent s is the least with ||A||_1 dt < 2**s (0 for 0).
-    squarings = max(0, math.frexp(float(np.linalg.norm(a, 1)) * dt)[1])
-    block = np.zeros((8, 8))
-    block[:4, :4] = -a
-    block[:4, 4:] = d
-    block[4:, 4:] = a.T
-    exp_block = expm(block * math.ldexp(dt, -squarings))
-    step = exp_block[4:, 4:].T
-    increment = step @ exp_block[:4, 4:]
-    for _ in range(squarings):
-        increment = step @ increment @ step.T + increment
-        increment = 0.5 * (increment + increment.T)
-        step = step @ step
-    means = np.empty((num_points, 4))
-    covariances = np.empty((num_points, 4, 4))
-    mean, v = initial.mean, initial.covariance
-    for k in range(num_points):
-        v = 0.5 * (v + v.T)
-        means[k], covariances[k] = mean, v
-        mean = step @ mean
-        v = step @ v @ step.T + increment
-    return Trajectory(times=times, means=means, covariances=covariances)
-
+    step = expm(generator * dt)
+    columns = np.empty((num_points, 21))
+    columns[0] = np.concatenate([initial.mean, initial.covariance.ravel(), [1.0]])
+    for k in range(1, num_points):
+        columns[k] = step @ columns[k - 1]
+    covariances = columns[:, 4:20].reshape(num_points, 4, 4)
+    covariances = 0.5 * (covariances + covariances.transpose(0, 2, 1))
+    return Trajectory(times=np.linspace(0.0, duration, num_points),
+                      means=columns[:, :4], covariances=covariances)

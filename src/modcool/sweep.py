@@ -426,9 +426,11 @@ class ComparisonReport:
             f"  n_a0={self.spec.n_a0:.6g}  n_b0={self.spec.n_b0:.6g}",
             "",
         ]
-        for name in sorted(self.occupations):
+        for name in sorted(self.occupations.keys() | self.notes.keys()):
+            value = self.occupations.get(name)
             note = self.notes.get(name, "")
-            lines.append(f"  {name:<14s} {self.occupations[name]:.8e}"
+            lines.append(f"  {name:<14s} "
+                         + ("no value" if value is None else f"{value:.8e}")
                          + (f"   [{note}]" if note else ""))
         lines.append("")
         names = sorted(self.occupations)
@@ -455,12 +457,9 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
 
     The oracle runs twice, with and without the counter-rotating coupling
     term; their difference is reported against the closed-form backaction
-    floor.  ``omega_b`` places the semiclassical drive; when omitted it
-    defaults to 375 * omega_a, the circuit-to-beam frequency ratio used by
-    the detuning-sweep demos.
+    floor.  ``omega_b`` places the semiclassical drive; without it the
+    report has no semiclassical value, only the reason.
     """
-    if omega_b is None:
-        omega_b = 375.0 * spec.omega_a
     occupations: dict[str, float] = {}
     notes: dict[str, str] = {}
 
@@ -478,8 +477,10 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
     tails = fock.truncation_check(full_state, oracle_config.tail_threshold)
 
     rate, n_f, note = _solve_semiclassical(spec, oracle_config, omega_b)
-    occupations["semiclassical"] = n_f
-    notes["semiclassical"] = f"{note}; Gamma_c = {rate:.6e} Hz"
+    notes["semiclassical"] = note
+    if n_f is not None:
+        occupations["semiclassical"] = n_f
+        notes["semiclassical"] += f"; Gamma_c = {rate:.6e} Hz"
 
     return ComparisonReport(
         spec=spec,

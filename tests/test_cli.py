@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modcool import sweep
+from modcool import cli, sweep
 from modcool.cli import main
 
 SYSTEM_CONFIG = """
@@ -187,6 +187,16 @@ def test_compare_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "oracle-full" in printed
     assert "counter-rotating gap" in printed
+
+
+def test_compare_without_config_places_the_circuit_at_375_omega_a(
+        monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SCALED_DIMS", (8, 4))
+    assert main(["compare"]) == 0
+    semiclassical = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("  semiclassical ")]
+    assert semiclassical == ["  semiclassical  1.11111111e-01   [zero-floor "
+                             "rate balance; Gamma_c = 8.000000e-03 Hz]"]
 
 
 def test_evolve_command(tmp_path):

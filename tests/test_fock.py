@@ -652,6 +652,14 @@ def test_thermal_density_rejects_non_finite(mode, value):
         thermal_density((6, 4), **occupations)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_density_state_rejects_non_finite(value):
+    matrix = thermal_density((3, 2), 0.5, 0.1).matrix.copy()
+    matrix[1, 1] = value
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        DensityState(dims=(3, 2), matrix=matrix)
+
+
 @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
 def test_evolve_rejects_bad_duration(duration):
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=1e-3,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -111,37 +112,86 @@ def test_lyapunov_residual_contract():
         assert physicality_margin(state) >= -1e-9
 
 
-def counted_lyapunov(monkeypatch, scale=1.0):
-    """Count ``gaussian``'s Lyapunov solves, each scaled by ``scale``."""
-    calls = []
-    solve = gaussian.solve_continuous_lyapunov
+def exact_occupation(model):
+    """Beam occupation of the exact solution of A V + V A^T + D = 0.
 
-    def counted(a, q):
-        calls.append(1)
-        return scale * solve(a, q)
+    A stdlib ``fractions`` elimination of the 16 x 16 vectorised system,
+    (AV + VA^T)[i, k] = sum_j A[i, j] V[j, k] + V[i, j] A[k, j], at the float
+    drift and diffusion, so it shares no rounding with the solver.
+    """
+    a = [[Fraction(x) for x in row] for row in model.drift.tolist()]
+    rows = []
+    for i in range(4):
+        for k in range(4):
+            row = [Fraction(0)] * 17
+            for j in range(4):
+                row[4 * j + k] += a[i][j]
+                row[4 * i + j] += a[k][j]
+            row[16] = -Fraction(model.diffusion[i, k])
+            rows.append(row)
+    for col in range(16):
+        pivot = next(r for r in range(col, 16) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, 16):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    v = [Fraction(0)] * 16
+    for r in reversed(range(16)):
+        known = sum(rows[r][c] * v[c] for c in range(r + 1, 16))
+        v[r] = (rows[r][16] - known) / rows[r][r]
+    return float((v[0] + v[5] - 1) / 2)
 
-    monkeypatch.setattr(gaussian, "solve_continuous_lyapunov", counted)
-    return calls
+
+def relative_error(spec):
+    model = build_drift(spec)
+    exact = exact_occupation(model)
+    return abs(occupation(steady_state(model), "a") - exact) / exact
 
 
-def test_steady_state_refines_past_the_residual_rounding_floor(monkeypatch):
-    # Rates seven decades apart: the first pass misses 1e-10 ||D|| by its
-    # rounding floor alone, and one correction solve settles it.
+def test_steady_state_is_exact_where_rates_are_far_apart():
+    # gamma0 is 2.7e-12 of omega_a: a Bartels-Stewart solve returned n_a
+    # 7.9e-4 low here while meeting a residual test relative to ||D||.
+    spec = SystemSpec(omega_a=0.2, delta=-0.1842, g=3.24e-7, gamma0=5.49e-13,
+                      kappa0=0.01204, n_a0=0.00487, n_b0=2.09e-4)
+    assert relative_error(spec) <= 1e-12
+
+
+def test_steady_state_matches_exact_solve_on_realistic_draws():
+    # Log-uniform over gamma0/omega_a 1e-8..1e-3, kappa0/omega_a 0.01..3,
+    # g/kappa0 1e-4..0.2, n_a0 1..1e4 and red detuning 0.3..3 omega_a.
+    rng = np.random.default_rng(0)
+    errors = []
+    while len(errors) < 60:
+        kappa0 = 10 ** rng.uniform(-2, math.log10(3))
+        spec = SystemSpec(
+            omega_a=1.0, delta=-10 ** rng.uniform(math.log10(0.3),
+                                                  math.log10(3)),
+            g=kappa0 * 10 ** rng.uniform(-4, math.log10(0.2)),
+            gamma0=10 ** rng.uniform(-8, -3), kappa0=kappa0,
+            n_a0=10 ** rng.uniform(0, 4), n_b0=0.0)
+        if stability(build_drift(spec)).hurwitz:
+            errors.append(relative_error(spec))
+    assert max(errors) <= 1e-9
+
+
+def test_steady_state_keeps_digits_with_rates_seven_decades_apart():
+    # The residual's rounding floor, about eps ||A|| ||V||, is far above
+    # 1e-10 ||D|| here; the solve is accurate all the same.
     spec = SystemSpec(omega_a=20e6, delta=-25e6, g=100, gamma0=2,
                       kappa0=2e3, n_a0=2000)
-    calls = counted_lyapunov(monkeypatch)
     state = steady_state(build_drift(spec))
-    assert len(calls) >= 2
     assert occupation(state, "a") == pytest.approx(
         analytic.final_occupation(spec), rel=1e-8)
 
 
-def test_steady_state_raises_when_refinement_never_settles(monkeypatch):
-    # Doubled solves swing V between 2 V and 0 for good.
-    calls = counted_lyapunov(monkeypatch, scale=2.0)
-    with pytest.raises(RuntimeError, match="did not settle"):
+def test_steady_state_rejects_a_large_backward_error(monkeypatch):
+    # A doubled moment operator returns V / 2, whose residual is D / 2.
+    operator = gaussian._moment_operator
+    monkeypatch.setattr(gaussian, "_moment_operator",
+                        lambda drift: 2.0 * operator(drift))
+    with pytest.raises(RuntimeError, match="backward error"):
         steady_state(build_drift(SCALED))
-    assert len(calls) == 4
 
 
 def test_steady_state_requires_hurwitz():
@@ -184,6 +234,15 @@ def test_occupation_values():
     displaced = CovarianceState(mean=np.array([1.0, 1.0, 0.0, 0.0]),
                                 covariance=np.diag([0.5] * 4))
     assert occupation(displaced, "a") == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mean", "covariance"])
+def test_covariance_state_rejects_non_finite(field, value):
+    arguments = {"mean": np.zeros(4), "covariance": np.diag([0.5] * 4)}
+    arguments[field][0] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CovarianceState(**arguments)
 
 
 def test_occupation_rejects_unphysical_covariance():

@@ -582,6 +582,16 @@ def test_compare_report(scaled):
     assert "oracle-full" in text and "relative difference" in text
 
 
+def test_compare_without_omega_b_has_no_semiclassical_value(scaled):
+    report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
+    assert "semiclassical" not in report.occupations
+    assert "needs omega_b" in report.notes["semiclassical"]
+    lines = report.render().splitlines()
+    semiclassical = [line for line in lines if "semiclassical" in line]
+    assert semiclassical == ["  semiclassical  no value   [needs omega_b "
+                             "(circuit resonance) to place the drive]"]
+
+
 def test_compare_solves_the_paper_system_in_hz(caplog):
     # The figure system as configured: n_a0 = 20 and rates in Hz.  The full
     # model stays on the preconditioned route, as it does at omega_a = 1.
