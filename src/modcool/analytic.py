@@ -27,15 +27,16 @@ def _require_on_sideband(spec: SystemSpec, who: str) -> None:
 def cooling_rate(spec: SystemSpec) -> float:
     """Backaction cooling rate of the mechanical mode, in Hz.
 
-    Gamma_c = 4 g^2 kappa0 |delta| omega_a /
+    Gamma_c = -4 g^2 kappa0 delta omega_a /
               [ (delta^2 - omega_a^2 + kappa0^2/4)^2 + omega_a^2 kappa0^2 ]
 
-    Valid in the weak-coupling regime; finite for every admissible spec and
-    zero both for g = 0 and at zero detuning.
+    Valid in the weak-coupling regime; finite for every admissible spec,
+    zero for g = 0, +0.0 at zero detuning, and negative (heating) for a
+    blue drive, delta > 0.
     """
     if spec.kappa0 <= 0:
         raise ValueError("cooling_rate requires kappa0 > 0")
-    num = 4.0 * spec.g ** 2 * spec.kappa0 * abs(spec.delta) * spec.omega_a
+    num = 4.0 * spec.g ** 2 * spec.kappa0 * (0.0 - spec.delta) * spec.omega_a
     den = ((spec.delta ** 2 - spec.omega_a ** 2 + spec.kappa0 ** 2 / 4.0) ** 2
            + spec.omega_a ** 2 * spec.kappa0 ** 2)
     return num / den
@@ -66,11 +67,11 @@ def final_occupation(spec: SystemSpec) -> float:
     rate from :func:`cooling_rate` and the floor from
     :func:`backaction_floor`.  This exact rate-balance form remains
     well-defined when the cooling rate is comparable to the intrinsic
-    linewidth.
+    linewidth; it raises where gamma0 + Gamma_c <= 0 (no stationary state).
     """
     rate = cooling_rate(spec)
-    if rate + spec.gamma0 == 0:
-        raise ValueError("no stationary occupation: both rates vanish")
+    if not rate + spec.gamma0 > 0:
+        raise ValueError("no stationary occupation: gamma0 + Gamma_c <= 0")
     return ((rate * backaction_floor(spec) + spec.gamma0 * spec.n_a0)
             / (rate + spec.gamma0))
 

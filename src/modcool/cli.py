@@ -79,22 +79,18 @@ def _load(args) -> sweep.Config:
 def _cmd_steady(args) -> int:
     config = _load(args)
     solvers = _default_solvers(args.solvers)
-    spec = SweepSpec(base=config.base, parameter="delta",
-                     grid=np.array([config.base.delta]), solvers=solvers,
-                     oracle_config=config.oracle, omega_b=config.omega_b)
-    rows = sweep.run_sweep(spec)
-    row = rows[0]
+    row = sweep.solve_point(config.base, solvers, config.oracle,
+                            config.omega_b, config.base.delta)
     for solver in solvers:
-        rate = row.rates[solver]
-        occ = row.occupations[solver]
+        rate, occ = row.rates[solver], row.occupations[solver]
         rate_text = "-" if rate is None else f"{rate:.6e} Hz"
         occ_text = "-" if occ is None else f"{occ:.6e}"
         note = row.diagnostics.get(solver, "")
         print(f"{solver:<14s} gamma_c = {rate_text:<16s} n_f = {occ_text}"
               + (f"   [{note}]" if note else ""))
     if args.out is not None:
-        _write_text(args.out, sweep.render_csv(rows, solvers))
-    return _exit_code(rows, solvers)
+        _write_text(args.out, sweep.render_csv([row], solvers))
+    return _exit_code([row], solvers)
 
 
 def _cmd_evolve(args) -> int:
@@ -137,20 +133,15 @@ def _cmd_sweep(args) -> int:
 def _figure_rows(solvers: tuple[str, ...], grid: np.ndarray,
                  omega_b: float | None):
     """Merge one sweep per coupling value into labelled column groups."""
-    merged = None
+    merged = [sweep.SweepRow(value=float(value), rates={}, occupations={},
+                             diagnostics={}) for value in grid]
     labels = []
     for g in FIGURE_COUPLINGS:
-        base = replace(FIGURE_BASE, g=g)
-        spec = SweepSpec(base=base, parameter="delta", grid=grid,
-                         solvers=solvers, omega_b=omega_b)
-        rows = sweep.run_sweep(spec)
         tag = f"g{g / 1e6:g}MHz"
         labels += [f"{solver}-{tag}" for solver in solvers]
-        if merged is None:
-            merged = [sweep.SweepRow(value=row.value, rates={},
-                                     occupations={}, diagnostics={})
-                      for row in rows]
-        for target, row in zip(merged, rows):
+        spec = SweepSpec(base=replace(FIGURE_BASE, g=g), parameter="delta",
+                         grid=grid, solvers=solvers, omega_b=omega_b)
+        for target, row in zip(merged, sweep.run_sweep(spec)):
             for solver in solvers:
                 key = f"{solver}-{tag}"
                 target.rates[key] = row.rates[solver]

@@ -42,6 +42,7 @@ SYMPLECTIC_FORM = np.array([
 # Tolerances of the physicality and solver contracts.
 PHYSICALITY_TOL = 1e-9
 LYAPUNOV_RTOL = 1e-12
+_PSD_RTOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 
 # (X, P) positions of each mode in the quadrature ordering.
@@ -66,7 +67,10 @@ class DriftModel:
             raise ValueError("drift and diffusion must be 4x4")
         if not np.array_equal(diffusion, diffusion.T):
             raise ValueError("diffusion must be symmetric")
-        if np.any(np.diag(diffusion) < 0):
+        if np.any(np.diag(diffusion) < 0) or (  # diagonal D: no eigvalsh
+                np.any(diffusion - np.diag(np.diag(diffusion)))
+                and np.linalg.eigvalsh(diffusion)[0]
+                < -_PSD_RTOL * np.max(np.abs(diffusion))):
             raise ValueError("diffusion must be positive semi-definite")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", diffusion)

@@ -1,9 +1,9 @@
 """Parameter sweeps across the solver layers, comparison reports and CSV output.
 
 Configuration files are flat INI-style text with explicit unit suffixes, so a
-run is reproducible from the file alone.  Sweep rows never fail silently: a
-solver that cannot produce a value on a grid point contributes an empty field
-paired with a diagnostic string.
+run is reproducible from the file alone.  One point evaluator,
+:func:`solve_point`, serves sweeps, steady points and comparisons; a solver
+that cannot produce a value there gives an empty field and a diagnostic.
 """
 
 from __future__ import annotations
@@ -110,13 +110,7 @@ class SweepSpec:
         if grid.size > 1 and not (np.all(np.diff(grid) > 0)
                                   or np.all(np.diff(grid) < 0)):
             raise ConfigError("sweep grid must be strictly monotone")
-        for solver in self.solvers:
-            if solver not in SOLVER_NAMES:
-                raise ConfigError(f"unknown solver {solver!r}")
-        if not self.solvers:
-            raise ConfigError("at least one solver must be selected")
-        if "oracle" in self.solvers and self.oracle_config is None:
-            raise ConfigError("the oracle solver requires an [oracle] section")
+        _check_solvers(self.solvers, self.oracle_config)
         # The grid is monotone and every SystemSpec bound is an interval, so
         # the two endpoints stand for every point.
         for value in (grid[0], grid[-1]):
@@ -346,33 +340,45 @@ _SOLVERS = {
 SOLVER_NAMES = tuple(_SOLVERS)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every requested solver on every grid point.
+def _check_solvers(solvers: tuple[str, ...], oracle_config) -> None:
+    for solver in solvers:
+        if solver not in _SOLVERS:
+            raise ConfigError(f"unknown solver {solver!r}")
+    if not solvers:
+        raise ConfigError("at least one solver must be selected")
+    if "oracle" in solvers and oracle_config is None:
+        raise ConfigError("the oracle solver requires an [oracle] section")
 
-    Rows are computed in grid order and are independent of each other; a
-    solver failure on one point (an ``ArithmeticError``, ``RuntimeError`` or
-    ``ValueError``, which covers the package's own errors, SuperLU, ARPACK
-    and ``LinAlgError``) is recorded in that row's diagnostics and never
-    aborts the sweep.  Any other exception is a programming error and
-    propagates.
+
+def solve_point(spec: SystemSpec, solvers: tuple[str, ...],
+                oracle_config: fock.OracleConfig | None,
+                omega_b: float | None, value: float) -> SweepRow:
+    """Every solver of ``solvers`` at ``spec``, as the row of swept ``value``.
+
+    A solver failure (``ArithmeticError``, ``RuntimeError`` or ``ValueError``:
+    the package's own errors, SuperLU, ARPACK, ``LinAlgError``) becomes the
+    row's diagnostic and never stops the other solvers; any other exception
+    is a programming error and propagates.
     """
-    rows = []
-    for value in spec.grid:
-        point = replace(spec.base, **{spec.parameter: float(value)})
-        rates: dict[str, float | None] = {}
-        occupations: dict[str, float | None] = {}
-        diagnostics: dict[str, str] = {}
-        for solver in spec.solvers:
-            try:
-                rates[solver], occupations[solver], diagnostics[solver] = (
-                    _SOLVERS[solver](point, spec.oracle_config, spec.omega_b))
-            except (ArithmeticError, RuntimeError, ValueError) as exc:
-                rates[solver] = None
-                occupations[solver] = None
-                diagnostics[solver] = f"{type(exc).__name__}: {exc}"
-        rows.append(SweepRow(value=float(value), rates=rates,
-                             occupations=occupations, diagnostics=diagnostics))
-    return rows
+    _check_solvers(solvers, oracle_config)
+    rates, occupations, diagnostics = {}, {}, {}
+    for solver in solvers:
+        try:
+            rates[solver], occupations[solver], diagnostics[solver] = (
+                _SOLVERS[solver](spec, oracle_config, omega_b))
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            rates[solver] = occupations[solver] = None
+            diagnostics[solver] = f"{type(exc).__name__}: {exc}"
+    return SweepRow(value=value, rates=rates, occupations=occupations,
+                    diagnostics=diagnostics)
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """:func:`solve_point` on every grid point, in grid order."""
+    return [solve_point(replace(spec.base, **{spec.parameter: float(value)}),
+                        spec.solvers, spec.oracle_config, spec.omega_b,
+                        float(value))
+            for value in spec.grid]
 
 
 def _format_value(value: float | None) -> str:
@@ -455,18 +461,21 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
             omega_b: float | None = None) -> ComparisonReport:
     """Stationary occupations from every solver layer at one point.
 
-    The oracle runs twice, with and without the counter-rotating coupling
-    term; their difference is reported against the closed-form backaction
-    floor.  ``omega_b`` places the semiclassical drive; without it the
-    report has no semiclassical value, only the reason.
+    Every table layer but the oracle comes from :func:`solve_point`: a
+    failing layer has no value, and each note is the layer's diagnostic plus
+    its cooling rate where it has one.  The oracle pair (with and without
+    the counter-rotating term, sharing the RWA sector factors) raises on
+    failure, since its gap is reported against the backaction floor.
     """
-    occupations: dict[str, float] = {}
-    notes: dict[str, str] = {}
-
-    occupations["analytic"] = analytic.final_occupation(spec)
-    occupations["analytic-rwa"] = analytic.rwa_final_occupation(spec)
-    occupations["gaussian"] = gaussian.occupation(
-        gaussian.steady_state(gaussian.build_drift(spec)), "a")
+    row = solve_point(spec, tuple(s for s in _SOLVERS if s != "oracle"),
+                      oracle_config, omega_b, spec.delta)
+    occupations = {solver: n_f for solver, n_f in row.occupations.items()
+                   if n_f is not None}
+    notes = {}
+    for solver, rate in row.rates.items():
+        rate_text = "" if rate is None else f"Gamma_c = {rate:.6e} Hz"
+        notes[solver] = "; ".join(filter(None, (row.diagnostics[solver],
+                                                rate_text)))
 
     full = fock.build_generator(
         spec, replace(oracle_config, include_counter_rotating=True))
@@ -475,12 +484,6 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
     occupations["oracle-full"] = fock.mode_occupation(full_state, "a")
     occupations["oracle-rwa"] = fock.mode_occupation(rwa_state, "a")
     tails = fock.truncation_check(full_state, oracle_config.tail_threshold)
-
-    rate, n_f, note = _solve_semiclassical(spec, oracle_config, omega_b)
-    notes["semiclassical"] = note
-    if n_f is not None:
-        occupations["semiclassical"] = n_f
-        notes["semiclassical"] += f"; Gamma_c = {rate:.6e} Hz"
 
     return ComparisonReport(
         spec=spec,

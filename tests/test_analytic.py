@@ -1,11 +1,13 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modcool import SystemSpec, analytic
+from modcool import SystemSpec, analytic, gaussian
+from modcool.model import TWO_PI
 
-from conftest import BENCHMARK
+from conftest import BENCHMARK, SCALED
 
 
 def test_cooling_rate_benchmark_value():
@@ -149,3 +151,29 @@ def test_static_coupling_means_no_cooling():
     static = replace(BENCHMARK, delta=-7.5e9)
     assert analytic.final_occupation(static) / BENCHMARK.n_a0 > 0.999
 
+
+
+def test_blue_drive_heats_at_the_drift_spectrum_rate():
+    # On the blue sideband the bilinear coupling heats the beam: the rate is
+    # negative and matches the net decay of the slowest second moment,
+    # -2 margin / 2 pi - gamma0, and the beam ends above its bath.
+    blue = replace(SCALED, delta=SCALED.omega_a, g=0.005)
+    rate = analytic.cooling_rate(blue)
+    margin = gaussian.stability(gaussian.build_drift(blue)).margin
+    assert rate < 0
+    assert rate == pytest.approx(-2.0 * margin / TWO_PI - blue.gamma0,
+                                 rel=0.01)
+    assert analytic.final_occupation(blue) > blue.n_a0
+
+
+def test_final_occupation_refuses_net_heating():
+    # gamma0 + Gamma_c < 0: the drift is not Hurwitz and no state is left.
+    blue = replace(SCALED, delta=SCALED.omega_a, g=0.01)
+    assert not gaussian.stability(gaussian.build_drift(blue)).hurwitz
+    with pytest.raises(ValueError, match="no stationary occupation"):
+        analytic.final_occupation(blue)
+
+
+def test_cooling_rate_is_positive_zero_at_zero_detuning():
+    rate = analytic.cooling_rate(replace(SCALED, delta=0.0))
+    assert rate == 0.0 and math.copysign(1.0, rate) == 1.0

@@ -17,6 +17,7 @@ from modcool.cli import FIGURE_BASE
 from modcool.gaussian import (
     SYMPLECTIC_FORM,
     CovarianceState,
+    DriftModel,
     StabilityError,
     build_drift,
     evolve,
@@ -56,6 +57,21 @@ def test_drift_structure():
     d = np.diag(model.diffusion)
     assert d[0] == pytest.approx(TWO_PI * 2e3 * 20.5, rel=1e-12)
     assert d[2] == pytest.approx(TWO_PI * 4e6 * 0.5, rel=1e-12)
+
+
+def test_drift_model_rejects_an_indefinite_diffusion():
+    # Non-negative diagonal, but the top-left block has eigenvalue -1.
+    diffusion = np.zeros((4, 4))
+    diffusion[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        DriftModel(drift=-np.eye(4), diffusion=diffusion)
+
+
+def test_drift_model_accepts_a_correlated_psd_diffusion():
+    diffusion = np.zeros((4, 4))
+    diffusion[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    model = DriftModel(drift=-np.eye(4), diffusion=diffusion)
+    assert np.array_equal(model.diffusion, diffusion)
 
 
 def test_drift_uncoupled_is_block_diagonal():

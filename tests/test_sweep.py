@@ -650,6 +650,44 @@ def test_compare_runs_each_arnoldi_once(scaled, monkeypatch):
     assert sorted(splits) == [False, True]
 
 
+def test_compare_isolates_a_failing_layer(scaled, monkeypatch):
+    def broken(spec, oracle_config, omega_b):
+        raise RuntimeError("the drift solve broke")
+
+    monkeypatch.setitem(sweep._SOLVERS, "gaussian", broken)
+    report = compare(scaled, fock.OracleConfig(dims=(8, 4)),
+                     omega_b=cli.SCALED_OMEGA_B)
+    assert "gaussian" not in report.occupations
+    assert {"analytic", "analytic-rwa", "semiclassical", "oracle-full",
+            "oracle-rwa"} <= report.occupations.keys()
+    assert ("  gaussian       no value   [RuntimeError: the drift solve "
+            "broke]") in report.render().splitlines()
+
+
+def test_compare_reports_every_table_entry(scaled, monkeypatch):
+    def constant(spec, oracle_config, omega_b):
+        return 0.5, 0.25, "a constant layer"
+
+    monkeypatch.setitem(sweep._SOLVERS, "constant", constant)
+    report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
+    assert report.occupations["constant"] == 0.25
+    assert report.notes["constant"] == ("a constant layer; "
+                                        "Gamma_c = 5.000000e-01 Hz")
+    lines = report.render().splitlines()
+    assert "  constant       2.50000000e-01   [a constant layer; Gamma_c = " \
+           "5.000000e-01 Hz]" in lines
+    for pair in ("analytic vs constant", "constant vs oracle-full"):
+        assert any(line.startswith(f"  {pair}: ") for line in lines)
+
+
+def test_compare_gaussian_rate_is_the_drift_spectrum(scaled):
+    report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
+    margin = gaussian.stability(gaussian.build_drift(scaled)).margin
+    rate = float(re.search(r"Gamma_c = (\S+) Hz",
+                           report.notes["gaussian"]).group(1))
+    assert rate == pytest.approx(-2.0 * margin / (2.0 * math.pi), rel=1e-6)
+
+
 def test_compare_all_solvers_collapse_at_zero_coupling():
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.0, gamma0=0.01,
                       kappa0=0.2, n_a0=0.5, n_b0=0.0)
