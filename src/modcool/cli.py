@@ -79,10 +79,12 @@ def _load(args) -> sweep.Config:
 def _cmd_steady(args) -> int:
     config = _load(args)
     solvers = _default_solvers(args.solvers)
+    sweep.check_solvers(solvers, config.oracle)
     row = sweep.solve_point(config.base, solvers, config.oracle,
                             config.omega_b, config.base.delta)
     for solver in solvers:
-        rate, occ = row.rates[solver], row.occupations[solver]
+        rate = row.rates[solver]
+        occ = row.occupations[solver]
         rate_text = "-" if rate is None else f"{rate:.6e} Hz"
         occ_text = "-" if occ is None else f"{occ:.6e}"
         note = row.diagnostics.get(solver, "")
@@ -133,15 +135,20 @@ def _cmd_sweep(args) -> int:
 def _figure_rows(solvers: tuple[str, ...], grid: np.ndarray,
                  omega_b: float | None):
     """Merge one sweep per coupling value into labelled column groups."""
-    merged = [sweep.SweepRow(value=float(value), rates={}, occupations={},
-                             diagnostics={}) for value in grid]
+    merged = None
     labels = []
     for g in FIGURE_COUPLINGS:
+        base = replace(FIGURE_BASE, g=g)
+        spec = SweepSpec(base=base, parameter="delta", grid=grid,
+                         solvers=solvers, omega_b=omega_b)
+        rows = sweep.run_sweep(spec)
         tag = f"g{g / 1e6:g}MHz"
         labels += [f"{solver}-{tag}" for solver in solvers]
-        spec = SweepSpec(base=replace(FIGURE_BASE, g=g), parameter="delta",
-                         grid=grid, solvers=solvers, omega_b=omega_b)
-        for target, row in zip(merged, sweep.run_sweep(spec)):
+        if merged is None:
+            merged = [sweep.SweepRow(value=row.value, rates={},
+                                     occupations={}, diagnostics={})
+                      for row in rows]
+        for target, row in zip(merged, rows):
             for solver in solvers:
                 key = f"{solver}-{tag}"
                 target.rates[key] = row.rates[solver]
@@ -181,6 +188,10 @@ def _cmd_design(args) -> int:
         raise ConfigError("design needs the circuit route: [circuit], "
                           "[mechanical] and [drive] sections")
     couplings = coupling_constants(circuit)
+    try:
+        occupation = f"{analytic.final_occupation(base):.6e}"
+    except ValueError:  # gamma0 + Gamma_c <= 0: a blue drive heating the beam
+        occupation = "no stationary state"
     lines = [
         "derived circuit quantities",
         f"  LC resonance f_b        = {lc_frequency(circuit):.6e} Hz",
@@ -200,7 +211,7 @@ def _cmd_design(args) -> int:
         "cooling forecast",
         f"  cooling rate Gamma_c    = {analytic.cooling_rate(base):.6e} Hz",
         f"  backaction floor n_0    = {analytic.backaction_floor(base):.6e}",
-        f"  stationary occupation   = {analytic.final_occupation(base):.6e}",
+        f"  stationary occupation   = {occupation}",
         f"  effective bath temp     = "
         f"{effective_temperature(base, circuit.t0, lc_frequency(circuit)):.6e} K",
     ]

@@ -67,9 +67,7 @@ class DriftModel:
             raise ValueError("drift and diffusion must be 4x4")
         if not np.array_equal(diffusion, diffusion.T):
             raise ValueError("diffusion must be symmetric")
-        if np.any(np.diag(diffusion) < 0) or (  # diagonal D: no eigvalsh
-                np.any(diffusion - np.diag(np.diag(diffusion)))
-                and np.linalg.eigvalsh(diffusion)[0]
+        if (np.linalg.eigvalsh(diffusion)[0]
                 < -_PSD_RTOL * np.max(np.abs(diffusion))):
             raise ValueError("diffusion must be positive semi-definite")
         object.__setattr__(self, "drift", drift)

@@ -110,7 +110,7 @@ class SweepSpec:
         if grid.size > 1 and not (np.all(np.diff(grid) > 0)
                                   or np.all(np.diff(grid) < 0)):
             raise ConfigError("sweep grid must be strictly monotone")
-        _check_solvers(self.solvers, self.oracle_config)
+        check_solvers(self.solvers, self.oracle_config)
         # The grid is monotone and every SystemSpec bound is an interval, so
         # the two endpoints stand for every point.
         for value in (grid[0], grid[-1]):
@@ -338,9 +338,13 @@ _SOLVERS = {
     "semiclassical": _solve_semiclassical,
 }
 SOLVER_NAMES = tuple(_SOLVERS)
+# The drift spectrum's rate is the net decay of the slowest second moment,
+# gamma0 + Gamma_c; every other layer's rate is Gamma_c alone.
+_RATE_NAMES = {"gaussian": "gamma0 + Gamma_c"}
 
 
-def _check_solvers(solvers: tuple[str, ...], oracle_config) -> None:
+def check_solvers(solvers: tuple[str, ...], oracle_config) -> None:
+    """Raise :class:`ConfigError` unless every solver can run in the config."""
     for solver in solvers:
         if solver not in _SOLVERS:
             raise ConfigError(f"unknown solver {solver!r}")
@@ -355,19 +359,20 @@ def solve_point(spec: SystemSpec, solvers: tuple[str, ...],
                 omega_b: float | None, value: float) -> SweepRow:
     """Every solver of ``solvers`` at ``spec``, as the row of swept ``value``.
 
-    A solver failure (``ArithmeticError``, ``RuntimeError`` or ``ValueError``:
-    the package's own errors, SuperLU, ARPACK, ``LinAlgError``) becomes the
-    row's diagnostic and never stops the other solvers; any other exception
-    is a programming error and propagates.
+    ``solvers`` must have passed :func:`check_solvers`.  A solver failure
+    (``ArithmeticError``, ``RuntimeError`` or ``ValueError``: the package's
+    own errors, SuperLU, ARPACK, ``LinAlgError``) becomes the row's
+    diagnostic and never stops the other solvers; any other exception is a
+    programming error and propagates.
     """
-    _check_solvers(solvers, oracle_config)
     rates, occupations, diagnostics = {}, {}, {}
     for solver in solvers:
         try:
             rates[solver], occupations[solver], diagnostics[solver] = (
                 _SOLVERS[solver](spec, oracle_config, omega_b))
         except (ArithmeticError, RuntimeError, ValueError) as exc:
-            rates[solver] = occupations[solver] = None
+            rates[solver] = None
+            occupations[solver] = None
             diagnostics[solver] = f"{type(exc).__name__}: {exc}"
     return SweepRow(value=value, rates=rates, occupations=occupations,
                     diagnostics=diagnostics)
@@ -463,9 +468,10 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
 
     Every table layer but the oracle comes from :func:`solve_point`: a
     failing layer has no value, and each note is the layer's diagnostic plus
-    its cooling rate where it has one.  The oracle pair (with and without
-    the counter-rotating term, sharing the RWA sector factors) raises on
-    failure, since its gap is reported against the backaction floor.
+    its rate where it has one (``gamma0 + Gamma_c`` for the drift spectrum,
+    ``Gamma_c`` otherwise).  The oracle pair (with and without the
+    counter-rotating term, sharing the RWA sector factors) raises on failure,
+    since its gap is reported against the backaction floor.
     """
     row = solve_point(spec, tuple(s for s in _SOLVERS if s != "oracle"),
                       oracle_config, omega_b, spec.delta)
@@ -473,7 +479,8 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
                    if n_f is not None}
     notes = {}
     for solver, rate in row.rates.items():
-        rate_text = "" if rate is None else f"Gamma_c = {rate:.6e} Hz"
+        rate_text = ("" if rate is None else
+                     f"{_RATE_NAMES.get(solver, 'Gamma_c')} = {rate:.6e} Hz")
         notes[solver] = "; ".join(filter(None, (row.diagnostics[solver],
                                                 rate_text)))
 

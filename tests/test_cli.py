@@ -235,6 +235,19 @@ def test_design_command(tmp_path, capsys):
     assert "stationary occupation" in printed
 
 
+def test_design_on_a_blue_drive_reports_no_stationary_state(tmp_path,
+                                                             capsys):
+    # A drive 20 MHz above the LC resonance heats the beam faster than its
+    # bath damps it: design still prints every line, without an occupation.
+    blue = CIRCUIT_CONFIG.replace("7.48 GHz", "7.52 GHz")
+    config = write(tmp_path, "blue.ini", blue)
+    assert main(["design", "--config", config]) == 0
+    printed = capsys.readouterr().out
+    assert "implied beam mass" in printed
+    assert "cooling rate Gamma_c    = -3.98" in printed
+    assert "stationary occupation   = no stationary state" in printed
+
+
 def test_design_refuses_a_second_system_route(tmp_path, capsys):
     # [system] next to the circuit route used to win silently, so design
     # printed its numbers as if the circuit had derived them

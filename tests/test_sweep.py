@@ -683,7 +683,9 @@ def test_compare_reports_every_table_entry(scaled, monkeypatch):
 def test_compare_gaussian_rate_is_the_drift_spectrum(scaled):
     report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
     margin = gaussian.stability(gaussian.build_drift(scaled)).margin
-    rate = float(re.search(r"Gamma_c = (\S+) Hz",
+    # The drift spectrum gives the net rate, so its label says so.
+    assert "; Gamma_c = " not in report.notes["gaussian"]
+    rate = float(re.search(r"; gamma0 \+ Gamma_c = (\S+) Hz",
                            report.notes["gaussian"]).group(1))
     assert rate == pytest.approx(-2.0 * margin / (2.0 * math.pi), rel=1e-6)
 
