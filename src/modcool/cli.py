@@ -83,13 +83,9 @@ def _cmd_steady(args) -> int:
     row = sweep.solve_point(config.base, solvers, config.oracle,
                             config.omega_b, config.base.delta)
     for solver in solvers:
-        rate = row.rates[solver]
-        occ = row.occupations[solver]
-        rate_text = "-" if rate is None else f"{rate:.6e} Hz"
-        occ_text = "-" if occ is None else f"{occ:.6e}"
-        note = row.diagnostics.get(solver, "")
-        print(f"{solver:<14s} gamma_c = {rate_text:<16s} n_f = {occ_text}"
-              + (f"   [{note}]" if note else ""))
+        note = sweep.layer_note(solver, row.diagnostics[solver],
+                                row.rates[solver])
+        print(sweep.layer_line(solver, row.occupations[solver], note))
     if args.out is not None:
         _write_text(args.out, sweep.render_csv([row], solvers))
     return _exit_code([row], solvers)

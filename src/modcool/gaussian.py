@@ -176,13 +176,28 @@ def stability(model: DriftModel) -> StabilityReport:
 
 
 def physicality_margin(state: CovarianceState) -> float:
-    """Smallest eigenvalue of V + i Omega / 2; >= -1e-9 for a physical state."""
+    """Smallest eigenvalue of V + i Omega / 2; >= -1e-9 for a physical state
+    (or a rounding of V's size, when larger: see :func:`_worst_violation`)."""
     return float(_margins(state.covariance[np.newaxis])[0])
 
 
 def _margins(covariances: np.ndarray) -> np.ndarray:
     """Physicality margin of each covariance of a stack, in one ``eigvalsh``."""
     return np.linalg.eigvalsh(covariances + 0.5j * SYMPLECTIC_FORM)[:, 0]
+
+
+def _worst_violation(covariances: np.ndarray) -> float | None:
+    """Least margin of a stack that breaks the uncertainty bound, or None.
+
+    A margin breaks it below -max(PHYSICALITY_TOL, 64 eps max|V_ij|):
+    ``eigvalsh`` finds an eigenvalue of V + i Omega / 2 to a few eps
+    ||V||_2, and 64 eps max|V_ij| bounds 16 eps ||V||_2 for a 4 x 4 matrix,
+    so a large covariance is not rejected for its rounding.
+    """
+    margins = _margins(covariances)
+    rounding = 64 * np.finfo(float).eps * np.abs(covariances).max(axis=(1, 2))
+    below = margins[margins < -np.maximum(PHYSICALITY_TOL, rounding)]
+    return float(below.min()) if below.size else None
 
 
 def thermal_state(n_a: float, n_b: float) -> CovarianceState:
@@ -198,7 +213,7 @@ def occupation(state: CovarianceState, mode: str) -> float:
     """Mean quantum number <c^dag c> of one mode of a Gaussian state.
 
     Raises ValueError when the state violates the uncertainty bound by more
-    than ``PHYSICALITY_TOL``.
+    than ``PHYSICALITY_TOL`` or the rounding of V (:func:`_worst_violation`).
     """
     return _occupations(state.mean[np.newaxis], state.covariance[np.newaxis],
                         mode)[0]
@@ -212,10 +227,10 @@ def _occupations(means: np.ndarray, covariances: np.ndarray,
     """
     if mode not in _MODE_QUADRATURES:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    margin = float(np.min(_margins(covariances)))
-    if margin < -PHYSICALITY_TOL:
+    worst = _worst_violation(covariances)
+    if worst is not None:
         raise ValueError(
-            f"covariance violates the uncertainty bound by {margin:.3e}")
+            f"covariance violates the uncertainty bound by {worst:.3e}")
     x, p = _MODE_QUADRATURES[mode]
     return 0.5 * (covariances[:, x, x] + covariances[:, p, p]
                   + means[:, x] ** 2 + means[:, p] ** 2 - 1.0)
@@ -252,10 +267,10 @@ def steady_state(model: DriftModel) -> CovarianceState:
         raise RuntimeError(f"Lyapunov backward error {residual / scale:.3e} "
                            f"exceeds {LYAPUNOV_RTOL:.0e}")
     state = CovarianceState(mean=np.zeros(4), covariance=v)
-    margin = physicality_margin(state)
-    if margin < -PHYSICALITY_TOL:
+    worst = _worst_violation(state.covariance[np.newaxis])
+    if worst is not None:
         raise RuntimeError(
-            f"stationary covariance violates physicality by {margin:.3e}")
+            f"stationary covariance violates physicality by {worst:.3e}")
     return state
 
 
@@ -285,8 +300,10 @@ def evolve(model: DriftModel, initial: CovarianceState, duration: float,
     step = expm(generator * dt)
     columns = np.empty((num_points, 21))
     columns[0] = np.concatenate([initial.mean, initial.covariance.ravel(), [1.0]])
-    for k in range(1, num_points):
-        columns[k] = step @ columns[k - 1]
+    # An unstable drift may outgrow float range: fail, not fill with inf.
+    with np.errstate(over="raise", invalid="raise"):
+        for k in range(1, num_points):
+            columns[k] = step @ columns[k - 1]
     covariances = columns[:, 4:20].reshape(num_points, 4, 4)
     covariances = 0.5 * (covariances + covariances.transpose(0, 2, 1))
     return Trajectory(times=np.linspace(0.0, duration, num_points),

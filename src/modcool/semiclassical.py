@@ -136,6 +136,8 @@ def circuit_cooling_rate(g_l: float, f_b: float, kappa0: float, f_d: float,
         raise ValueError("circuit_cooling_rate requires kappa0 > 0")
     if f_b <= 0:
         raise ValueError("f_b must be positive")
+    if f_d <= 0:
+        raise ValueError("f_d must be positive")
     f_up = f_d + f_a
     num = 4.0 * g_l ** 2 * f_up ** 3 * kappa0 / f_b
     den = (f_up ** 2 - f_b ** 2) ** 2 + f_up ** 2 * kappa0 ** 2

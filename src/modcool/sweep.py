@@ -4,11 +4,13 @@ Configuration files are flat INI-style text with explicit unit suffixes, so a
 run is reproducible from the file alone.  One point evaluator,
 :func:`solve_point`, serves sweeps, steady points and comparisons; a solver
 that cannot produce a value there gives an empty field and a diagnostic.
+Steady points and comparisons print each layer by one :func:`layer_line`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import MISSING, dataclass, fields, replace
@@ -194,6 +196,9 @@ def _base_from_config(parser: ConfigParser
         if omega_b is not None:
             omega_b = _named("[system] omega_b",
                              partial(parse_quantity, unit="Hz"), omega_b)
+            if not 0 < omega_b < math.inf:
+                raise ConfigError("[system] omega_b must be positive and "
+                                  f"finite, got {omega_b}")
         return spec, omega_b, None
     if len(route) < len(_CIRCUIT_ROUTE):
         raise ConfigError("config must contain a [system] section or a "
@@ -307,13 +312,19 @@ def _solve_gaussian(spec: SystemSpec, *_) -> _Outcome:
             f"drift spectrum; mechanical weight {report.mechanical_weight:.3f}")
 
 
-def _solve_oracle(spec: SystemSpec, config: fock.OracleConfig, *_) -> _Outcome:
-    generator = fock.build_generator(spec, config)
+def _read_oracle(generator: fock.FockGenerator
+                 ) -> tuple[float, fock.TailReport, str]:
+    """Occupation, tails and note of a Fock generator's stationary state."""
     state = fock.steady_state(generator)
-    tails = fock.truncation_check(state, config.tail_threshold)
+    tails = fock.truncation_check(state, generator.config.tail_threshold)
     note = (f"steady-state occupation only; tail_a={tails.tail_a:.2e}; "
             f"tail_b={tails.tail_b:.2e}")
-    return None, fock.mode_occupation(state, "a"), note
+    return fock.mode_occupation(state, "a"), tails, note
+
+
+def _solve_oracle(spec: SystemSpec, config: fock.OracleConfig, *_) -> _Outcome:
+    n_f, _, note = _read_oracle(fock.build_generator(spec, config))
+    return None, n_f, note
 
 
 def _solve_semiclassical(spec: SystemSpec, _config,
@@ -386,6 +397,21 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             for value in spec.grid]
 
 
+def layer_note(solver: str, diagnostic: str, rate: float | None) -> str:
+    """A layer's diagnostic, then its rate labelled by ``_RATE_NAMES``."""
+    rate_text = ("" if rate is None else
+                 f"{_RATE_NAMES.get(solver, 'Gamma_c')} = {rate:.6e} Hz")
+    return "; ".join(filter(None, (diagnostic, rate_text)))
+
+
+def layer_line(solver: str, occupation: float | None, note: str) -> str:
+    """One layer's report line: its occupation or ``no value``, then its
+    note (:func:`layer_note`) in brackets."""
+    return (f"  {solver:<14s} "
+            + ("no value" if occupation is None else f"{occupation:.8e}")
+            + (f"   [{note}]" if note else ""))
+
+
 def _format_value(value: float | None) -> str:
     return "" if value is None else f"{value:.17e}"
 
@@ -437,12 +463,9 @@ class ComparisonReport:
             f"  n_a0={self.spec.n_a0:.6g}  n_b0={self.spec.n_b0:.6g}",
             "",
         ]
-        for name in sorted(self.occupations.keys() | self.notes.keys()):
-            value = self.occupations.get(name)
-            note = self.notes.get(name, "")
-            lines.append(f"  {name:<14s} "
-                         + ("no value" if value is None else f"{value:.8e}")
-                         + (f"   [{note}]" if note else ""))
+        lines += [layer_line(name, self.occupations.get(name),
+                             self.notes.get(name, ""))
+                  for name in sorted(self.occupations.keys() | self.notes.keys())]
         lines.append("")
         names = sorted(self.occupations)
         for i, first in enumerate(names):
@@ -456,9 +479,6 @@ class ComparisonReport:
             f"  counter-rotating gap (oracle full - oracle rwa) = "
             f"{self.backaction_gap:.6e}; backaction floor kappa0^2/(16 "
             f"omega_a^2) = {self.backaction_floor:.6e}")
-        lines.append(
-            f"  oracle truncation tails: a = {self.tails.tail_a:.3e}, "
-            f"b = {self.tails.tail_b:.3e}")
         return "\n".join(lines) + "\n"
 
 
@@ -467,30 +487,23 @@ def compare(spec: SystemSpec, oracle_config: fock.OracleConfig,
     """Stationary occupations from every solver layer at one point.
 
     Every table layer but the oracle comes from :func:`solve_point`: a
-    failing layer has no value, and each note is the layer's diagnostic plus
-    its rate where it has one (``gamma0 + Gamma_c`` for the drift spectrum,
-    ``Gamma_c`` otherwise).  The oracle pair (with and without the
-    counter-rotating term, sharing the RWA sector factors) raises on failure,
-    since its gap is reported against the backaction floor.
+    failing layer has no value, and its note is :func:`layer_note`.  The
+    oracle pair (with and without the counter-rotating term, sharing the RWA
+    sector factors) is read as the table's ``oracle`` entry reads its state,
+    with its tails in its note, but raises on failure, since its gap is
+    reported against the backaction floor.
     """
     row = solve_point(spec, tuple(s for s in _SOLVERS if s != "oracle"),
                       oracle_config, omega_b, spec.delta)
     occupations = {solver: n_f for solver, n_f in row.occupations.items()
                    if n_f is not None}
-    notes = {}
-    for solver, rate in row.rates.items():
-        rate_text = ("" if rate is None else
-                     f"{_RATE_NAMES.get(solver, 'Gamma_c')} = {rate:.6e} Hz")
-        notes[solver] = "; ".join(filter(None, (row.diagnostics[solver],
-                                                rate_text)))
-
+    notes = {solver: layer_note(solver, row.diagnostics[solver], rate)
+             for solver, rate in row.rates.items()}
     full = fock.build_generator(
         spec, replace(oracle_config, include_counter_rotating=True))
-    full_state = fock.steady_state(full)
-    rwa_state = fock.steady_state(full.rwa)  # reuses the RWA sector factors
-    occupations["oracle-full"] = fock.mode_occupation(full_state, "a")
-    occupations["oracle-rwa"] = fock.mode_occupation(rwa_state, "a")
-    tails = fock.truncation_check(full_state, oracle_config.tail_threshold)
+    occupations["oracle-full"], tails, notes["oracle-full"] = _read_oracle(full)
+    # full.rwa reuses the RWA sector factors that the full solve made.
+    occupations["oracle-rwa"], _, notes["oracle-rwa"] = _read_oracle(full.rwa)
 
     return ComparisonReport(
         spec=spec,

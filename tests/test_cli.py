@@ -189,6 +189,58 @@ def test_compare_command(tmp_path, capsys):
     assert "counter-rotating gap" in printed
 
 
+def test_steady_prints_the_lines_that_compare_prints(tmp_path, capsys):
+    # One point, one report line per layer: the table layers print the same
+    # in both commands, and the oracle line is compare's full-model line.
+    config = write(tmp_path, "scaled.ini", SCALED_COMPARE_CONFIG.replace(
+        "n_a0 = 1", "n_a0 = 1\nomega_b = 375 Hz").replace("12, 6", "8, 4"))
+    assert main(["steady", "--config", config, "--solvers",
+                 "analytic,analytic-rwa,gaussian,semiclassical,oracle"]) == 0
+    steady = capsys.readouterr().out.splitlines()
+    assert main(["compare", "--config", config]) == 0
+    compared = capsys.readouterr().out.splitlines()
+    assert len(steady) == 5
+    for line in steady[:4]:
+        assert line in compared
+    oracle = steady[4].replace("  oracle       ", "  oracle-full  ")
+    assert oracle in compared
+
+
+def test_steady_labels_the_drift_spectrum_rate_as_net(tmp_path, capsys):
+    config = write(tmp_path, "sys.ini", SYSTEM_CONFIG)
+    assert main(["steady", "--config", config, "--solvers", "gaussian"]) == 0
+    printed = capsys.readouterr().out
+    assert "gamma0 + Gamma_c = " in printed
+    assert "gamma_c =" not in printed
+
+
+def test_steady_drive_below_zero_frequency_has_no_semiclassical_value(
+        tmp_path, capsys):
+    # omega_b + delta = -125: the drive frequency is negative.
+    config = write(tmp_path, "low.ini", """
+[system]
+omega_a = 1
+delta = -500
+g = 100
+gamma0 = 1e-3
+kappa0 = 0.2
+n_a0 = 1
+omega_b = 375
+""")
+    assert main(["steady", "--config", config, "--solvers",
+                 "analytic,semiclassical"]) == 0
+    assert ("  semiclassical  no value   [ValueError: f_d must be positive]"
+            in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("command", ["steady", "compare", "sweep"])
+def test_non_positive_omega_b_is_a_config_error(tmp_path, capsys, command):
+    config = write(tmp_path, "neg.ini", SWEEP_CONFIG.replace(
+        "n_a0 = 20", "n_a0 = 20\nomega_b = -7.5 GHz") + "[oracle]\ndims = 8, 4\n")
+    assert main([command, "--config", config]) == 1
+    assert "[system] omega_b" in capsys.readouterr().err
+
+
 def test_compare_without_config_places_the_circuit_at_375_omega_a(
         monkeypatch, capsys):
     monkeypatch.setattr(cli, "SCALED_DIMS", (8, 4))

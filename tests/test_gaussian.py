@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 import modcool
 from modcool import SystemSpec, analytic, gaussian
@@ -19,6 +20,7 @@ from modcool.gaussian import (
     CovarianceState,
     DriftModel,
     StabilityError,
+    Trajectory,
     build_drift,
     evolve,
     occupation,
@@ -406,6 +408,51 @@ def test_evolve_matches_reference_integration_for_unstable_drift():
     covs = trajectory.covariances.reshape(-1, 16)
     scale = np.max(np.abs(reference.y[4:]), axis=0)
     assert np.max(np.abs(covs - reference.y[4:].T).max(axis=1) / scale) < 1e-9
+
+
+# Blue detuning, weak coupling: the drift margin is +0.127 1/s, so the
+# covariance grows as exp(0.254 t) and soon dwarfs the vacuum variance.
+RUNAWAY = SystemSpec(omega_a=1.0, delta=1.0, g=0.05, gamma0=1e-3,
+                     kappa0=0.2, n_a0=1.0, n_b0=0.0)
+
+
+def test_evolve_follows_a_runaway_past_the_rounding_of_its_covariance():
+    # At t = 200, ||V||_2 ~ 3e22: the margin of V + i Omega / 2 is rounding
+    # of that size, not a violation of the uncertainty bound.
+    model = build_drift(RUNAWAY)
+    assert stability(model).margin == pytest.approx(0.127, abs=1e-3)
+    start = thermal_state(1.0, 0.0)
+    trajectory = evolve(model, start, 200.0, num_points=5)
+    n_a = trajectory.occupations("a")
+    assert np.all(np.isfinite(n_a)) and n_a[-1] > 1e21
+    # V(t) = e^{At} (V0 - X) e^{A^T t} + X with A X + X A^T + D = 0, which
+    # has a solution (no two drift eigenvalues sum to zero) though the drift
+    # is not Hurwitz.
+    x = solve_continuous_lyapunov(model.drift, -model.diffusion)
+    for t, n in zip(trajectory.times, n_a):
+        e = expm(model.drift * t)
+        v = e @ (start.covariance - x) @ e.T + x
+        assert n == pytest.approx(0.5 * (v[0, 0] + v[1, 1] - 1.0), rel=1e-9)
+
+
+def test_evolve_overflow_is_an_arithmetic_error_without_warnings():
+    model = build_drift(RUNAWAY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError):
+            evolve(model, thermal_state(1.0, 0.0), 1e4, num_points=5)
+
+
+def test_rounding_floor_still_rejects_squeezing_below_vacuum():
+    # A hot circuit mode raises the floor only to 1.4e-8, far short of the
+    # -0.4 by which the squeezed beam breaks the bound.
+    squeezed = np.diag([0.1, 0.1, 1e6, 1e6])
+    with pytest.raises(ValueError, match="uncertainty bound by -4"):
+        occupation(CovarianceState(mean=np.zeros(4), covariance=squeezed), "a")
+    trajectory = Trajectory(times=np.arange(2.0), means=np.zeros((2, 4)),
+                            covariances=np.stack([np.diag([0.5] * 4), squeezed]))
+    with pytest.raises(ValueError, match="uncertainty bound"):
+        trajectory.occupations("b")
 
 
 @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])

@@ -425,6 +425,28 @@ def test_semiclassical_sweep_row_without_any_rate():
         assert row.occupations["semiclassical"] == 0.0
 
 
+@pytest.mark.parametrize("delta", [-500.0, -375.0])
+def test_semiclassical_drive_at_or_below_zero_frequency_has_no_value(delta):
+    # The drive sits at omega_b + delta: -125 Hz and 0 Hz here.
+    spec = SystemSpec(omega_a=1.0, delta=delta, g=100.0, gamma0=1e-3,
+                      kappa0=0.2, n_a0=1.0, n_b0=0.0)
+    row = sweep.solve_point(spec, ("analytic", "semiclassical"), None, 375.0,
+                            delta)
+    assert row.occupations["analytic"] is not None
+    assert row.rates["semiclassical"] is None
+    assert row.occupations["semiclassical"] is None
+    assert row.diagnostics["semiclassical"] == (
+        "ValueError: f_d must be positive")
+
+
+@pytest.mark.parametrize("omega_b", ["-375 Hz", "0", "-7.5 GHz"])
+def test_config_rejects_a_non_positive_omega_b(omega_b):
+    with pytest.raises(ConfigError, match=r"^\[system\] omega_b must be "
+                                          "positive"):
+        load_config(MINIMAL_CONFIG.replace(
+            "n_a0 = 20", f"n_a0 = 20\nomega_b = {omega_b}"))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(omega_a=st.floats(1e3, 1e9), delta=st.floats(-2.0, -0.2),
        g=st.floats(0.0, 0.2), gamma0=st.floats(1e-6, 1e-2),
@@ -648,6 +670,19 @@ def test_compare_runs_each_arnoldi_once(scaled, monkeypatch):
     compare(scaled, fock.OracleConfig(dims=(8, 4)))
     assert runs == [(512, 512), (512, 512)]
     assert sorted(splits) == [False, True]
+
+
+def test_compare_reads_the_oracle_pair_as_the_table_oracle_does(scaled):
+    config = fock.OracleConfig(dims=(8, 4))
+    report = compare(scaled, config)
+    for name, counter_rotating in (("oracle-full", True), ("oracle-rwa", False)):
+        _, n_f, note = sweep._SOLVERS["oracle"](
+            scaled, replace(config, include_counter_rotating=counter_rotating),
+            None)
+        assert report.notes[name] == note
+        assert note.startswith("steady-state occupation only; tail_a=")
+        assert report.occupations[name] == pytest.approx(n_f, rel=1e-8)
+    assert "truncation tails" not in report.render()
 
 
 def test_compare_isolates_a_failing_layer(scaled, monkeypatch):
