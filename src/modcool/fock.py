@@ -1,19 +1,22 @@
 """Brute-force master-equation oracle on a truncated two-mode Fock space.
 
-The rotating-frame Hamiltonian with the bilinear coupling (optionally with
-its pair-creation part dropped) and local thermal dissipators is assembled
-as a sparse Liouvillian acting on column-stacked density matrices.  The
-module exists to verify the Gaussian solver and the closed-form results by a
-completely independent route.  Stationary states come from GMRES in the
-even-k sector preconditioned by the LU factor of the RWA Liouvillian (own LU
-where that is too weak), and their gap from an Arnoldi run that starts from
-the RWA model's slowest mode.  Trajectories are ``expm(L t) rho0`` on a time
-grid, propagated in each parity sector of ``rho0`` separately and in real
-arithmetic: ``L`` preserves Hermiticity, so on the real coordinates of a
-Hermitian ``rho`` (diagonal, Re and Im of each upper coherence) it is a real
-matrix.  The stationary route keeps the complex blocks, because that basis
-pairs k with -k and so merges the RWA's k-blocks: the LU fill of the (14, 7)
-RWA even block rises from 0.18M to 0.79M.
+The rotating-frame Hamiltonian H with the bilinear coupling (optionally
+with its pair-creation part dropped) and the local thermal jumps c at rates
+r_c form one sparse Liouvillian on column-stacked density matrices, ``L =
+-i (I (x) H_eff - conj(H_eff) (x) I) + sum_c r_c conj(c) (x) c`` with the
+non-Hermitian ``H_eff = H - (i/2) sum_c r_c c^dag c``.  The module exists
+to verify the Gaussian solver and the closed-form results by a completely
+independent route.  Stationary states come from GMRES in the even-k sector
+preconditioned by the LU factor of the RWA Liouvillian (own LU where that
+is too weak), and their gap from an Arnoldi run that starts from the RWA
+model's slowest mode, and once more from ones if that run stalls.
+Trajectories are ``expm(L t) rho0`` on a time grid, propagated in each
+parity sector of ``rho0`` separately and in real arithmetic: ``L`` preserves
+Hermiticity, so on the real coordinates of a Hermitian ``rho`` (diagonal, Re
+and Im of each upper coherence) it is a real matrix.  The stationary route
+keeps the complex blocks, because that basis pairs k with -k and so merges
+the RWA's k-blocks: the LU fill of the (14, 7) RWA even block rises from
+0.18M to 0.79M.
 
 Frequencies in the :class:`~modcool.model.SystemSpec` are ordinary (Hz) and
 are converted to angular units here; evolution times are seconds.  The
@@ -31,7 +34,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigs, gmres, splu
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
+                                  gmres, splu)
 
 from .model import SystemSpec, _require_finite, angular_rates
 
@@ -58,6 +62,13 @@ _GAP_SOLVE_RTOL = 1e-10
 _GMRES_BUDGET = 30
 _GAP_NCV = 6
 _GAP_TOL = 1e-10
+# Near the sideband's exceptional point g = (kappa0 - gamma0)/4 the slowest
+# even-sector rates nearly share their modulus, and an Arnoldi run can take
+# thousands of restarts (scipy's default cap is 10 n).  500 bounds a stalled
+# run to about 25 s at (14, 7); Tier-1 and the benchmark need at most 14.
+# Within 0.1% of that coupling, runs from ones took up to 333 restarts at
+# (10, 6) and (14, 7) and up to 758 at (7, 4), which the cap cuts.
+_GAP_RESTARTS = 500
 # Minimum degree on A + A^T, diagonal pivots: a third less fill than COLAMD.
 _LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
                "options": {"SymmetricMode": True}}
@@ -185,21 +196,15 @@ def _mode_operators(dims: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix
     return a, b
 
 
-def _dissipator(c: sp.csr_matrix, identity: sp.csr_matrix) -> sp.csr_matrix:
-    """Superoperator of D[c] rho = c rho c^dag - {c^dag c, rho}/2 (column stacking)."""
-    cdc = (c.conj().T @ c).tocsr()
-    return (sp.kron(c.conj(), c, format="csr")
-            - 0.5 * sp.kron(identity, cdc, format="csr")
-            - 0.5 * sp.kron(cdc.T, identity, format="csr"))
-
-
 def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
     """Assemble the sparse Liouvillian for a spec on the truncated space.
 
-    Hamiltonian (angular units): omega_a a^dag a - delta b^dag b plus the
-    bilinear coupling, full or excitation-exchange-only depending on
-    ``config.include_counter_rotating``.  Dissipators: local thermal damping
-    of each mode at gamma0 and kappa0 with bath occupations n_a0, n_b0.
+    ``L rho = -i (H_eff rho - rho H_eff^dag) + sum_c r_c c rho c^dag``,
+    ``H_eff = H - (i/2) sum_c r_c c^dag c`` (Dalibard, Castin and Molmer, PRL
+    68, 580 (1992)).  H (angular units): omega_a a^dag a - delta b^dag b plus
+    the bilinear coupling, full or excitation-exchange-only depending on
+    ``config.include_counter_rotating``.  Jumps c: local thermal damping at
+    gamma0 and kappa0, bath occupations n_a0 and n_b0, where r_c > 0.
     """
     return FockGenerator(spec=spec, config=config,
                          matrix=_liouvillian(spec, config))
@@ -207,28 +212,27 @@ def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
 
 def _liouvillian(spec: SystemSpec, config: OracleConfig) -> sp.csr_matrix:
     a, b = _mode_operators(config.dims)
+    a_dag, b_dag = a.conj().T.tocsr(), b.conj().T.tocsr()
     identity = sp.identity(config.dims[0] * config.dims[1], dtype=complex,
                            format="csr")
     omega_a, delta, g, gamma0, kappa0 = angular_rates(spec)
-
-    hamiltonian = omega_a * (a.conj().T @ a) - delta * (b.conj().T @ b)
-    if config.include_counter_rotating:
-        hamiltonian = hamiltonian + g * ((a + a.conj().T) @ (b + b.conj().T))
-    else:
-        hamiltonian = hamiltonian + g * (a.conj().T @ b + a @ b.conj().T)
-    hamiltonian = hamiltonian.tocsr()
-
-    liouvillian = -1j * (sp.kron(identity, hamiltonian, format="csr")
-                         - sp.kron(hamiltonian.T, identity, format="csr"))
-    for rate, op in (
+    jumps = [(rate, c) for rate, c in (
         (gamma0 * (spec.n_a0 + 1.0), a),
-        (gamma0 * spec.n_a0, a.conj().T.tocsr()),
+        (gamma0 * spec.n_a0, a_dag),
         (kappa0 * (spec.n_b0 + 1.0), b),
-        (kappa0 * spec.n_b0, b.conj().T.tocsr()),
-    ):
-        if rate > 0:
-            liouvillian = liouvillian + rate * _dissipator(op, identity)
-    return liouvillian.tocsr()
+        (kappa0 * spec.n_b0, b_dag),
+    ) if rate > 0]
+
+    if config.include_counter_rotating:
+        coupling = (a + a_dag) @ (b + b_dag)
+    else:
+        coupling = a_dag @ b + a @ b_dag
+    h_eff = (omega_a * (a_dag @ a) - delta * (b_dag @ b) + g * coupling
+             - 0.5j * sum(rate * (c.conj().T @ c) for rate, c in jumps))
+    return (-1j * (sp.kron(identity, h_eff, format="csr")
+                   - sp.kron(h_eff.conj(), identity, format="csr"))
+            + sum(rate * sp.kron(c.conj(), c, format="csr")
+                  for rate, c in jumps)).tocsr()
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
@@ -409,7 +413,7 @@ class _SectorSolution:
     vector: np.ndarray  # its stationary vector, before normalisation
     gap: float
     mode: np.ndarray  # Arnoldi's slowest eigenvector of the deflated inverse
-    arnoldi_start: str  # "rwa" or "ones"
+    arnoldi_start: str  # "rwa", "ones" or "rwa,ones" (see _stationary)
     arnoldi_solves: int
     iterations: int  # GMRES iterations of both sectors
     odd_bound: float
@@ -443,16 +447,19 @@ def _sector_solve(full: bool, factor, block: sp.csc_matrix,
 
 
 def _stationary(solve, size: int, start: np.ndarray | None):
-    """Stationary vector, gap, slowest mode and Arnoldi solve count, with
-    ``solve(rhs, rtol) = A^-1 rhs``.
+    """Stationary vector, gap, slowest mode, Arnoldi start and solve count,
+    with ``solve(rhs, rtol) = A^-1 rhs``.
 
     ``B(v) = A^-1 [0; v[1:]]`` is ``L^-1`` on traceless vectors and maps all
     vectors to traceless ones, so its largest |eigenvalue| is 1/gap.  Arnoldi
     starts from ``start``, the RWA model's slowest mode: the pair-creation
     term moves the slow modes little, so fewer solves find the full model's.
     Without one it starts from the all-ones vector, which reaches every
-    coherence sector of A.  The Krylov dimension ``_GAP_NCV`` was chosen on a
-    grid of couplings (see its comment).
+    coherence sector of A.  A run from ``start`` that misses within
+    ``_GAP_RESTARTS`` restarts is run once more from the all-ones vector; a
+    miss from there raises ``ArpackNoConvergence``, a ``RuntimeError``.  The
+    start label is "rwa", "ones" or "rwa,ones".  The Krylov dimension
+    ``_GAP_NCV`` was chosen on a grid of couplings (see its comment).
     """
     vector = solve(np.eye(1, size, dtype=complex)[0], _GMRES_RTOL)
     solves = 0
@@ -463,10 +470,19 @@ def _stationary(solve, size: int, start: np.ndarray | None):
         return solve(np.concatenate(([0.0], v.ravel()[1:])), _GAP_SOLVE_RTOL)
 
     operator = LinearOperator((size, size), matvec=deflated, dtype=complex)
-    values, modes = eigs(operator, k=1, which="LM", ncv=_GAP_NCV, tol=_GAP_TOL,
-                         v0=np.ones(size, dtype=complex) if start is None
-                         else start)
-    return vector, 1.0 / abs(values[0]), modes[:, 0], solves
+    starts = [("ones", np.ones(size, dtype=complex))]
+    if start is not None:
+        starts.insert(0, ("rwa", start))
+    for tried, (_, v0) in enumerate(starts, 1):
+        try:
+            values, modes = eigs(operator, k=1, which="LM", ncv=_GAP_NCV,
+                                 tol=_GAP_TOL, v0=v0, maxiter=_GAP_RESTARTS)
+        except ArpackNoConvergence:
+            if tried == len(starts):
+                raise
+        else:
+            return (vector, 1.0 / abs(values[0]), modes[:, 0],
+                    ",".join(name for name, _ in starts[:tried]), solves)
 
 
 def _solve_sectors(generator: FockGenerator, sectors: list, factors: list,
@@ -477,7 +493,7 @@ def _solve_sectors(generator: FockGenerator, sectors: list, factors: list,
     full = generator.config.include_counter_rotating
     (even, even_block), (odd, odd_block) = sectors
     iterations: list[int] = []
-    route, (vector, gap, mode, solves) = _sector_solve(
+    route, (vector, gap, mode, arnoldi_start, solves) = _sector_solve(
         full, factors[0], even_block, iterations,
         lambda solve: _stationary(solve, even.size, start))
     _check_gap(generator.spec, gap, "spectral gap")
@@ -490,8 +506,8 @@ def _solve_sectors(generator: FockGenerator, sectors: list, factors: list,
     _check_gap(generator.spec, odd_bound, "odd-sector singular value")
     return _SectorSolution(
         route=route, even=even, vector=vector, gap=gap, mode=mode,
-        arnoldi_start="ones" if start is None else "rwa",
-        arnoldi_solves=solves, iterations=sum(iterations), odd_bound=odd_bound)
+        arnoldi_start=arnoldi_start, arnoldi_solves=solves,
+        iterations=sum(iterations), odd_bound=odd_bound)
 
 
 def steady_state(generator: FockGenerator) -> DensityState:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply, spsolve
+from scipy.sparse.linalg import (ArpackNoConvergence, eigs, expm_multiply,
+                                  spsolve)
 
 from modcool import SystemSpec, analytic, fock, gaussian
-from modcool.cli import SCALED_BASE
+from modcool.cli import FIGURE_BASE, SCALED_BASE
 from modcool.fock import (
     DegenerateSteadyStateError,
     DensityState,
@@ -294,10 +295,90 @@ def test_liouvillian_changes_k_by_zero_or_two(dims, rates, counter_rotating):
     spec = SystemSpec(omega_a=omega_a + 0.1, delta=-delta, g=g, gamma0=gamma0,
                       kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
     config = OracleConfig(dims=dims, include_counter_rotating=counter_rotating)
-    rows, cols = build_generator(spec, config).matrix.nonzero()
+    generator = build_generator(spec, config)
+    rows, cols = generator.matrix.nonzero()
     k = excitation_difference(dims)
     allowed = {-2, 0, 2} if counter_rotating else {0}
     assert set(np.unique(k[rows] - k[cols])) <= allowed
+    # The RWA model is exactly the full one's excitation-conserving part.
+    full = build_generator(spec, replace(
+        config, include_counter_rotating=True)).matrix.toarray()
+    full[k[:, None] != k[None, :]] = 0.0
+    assert np.array_equal(generator.rwa.matrix.toarray(), full)
+
+
+def test_liouvillian_acts_as_the_textbook_lindbladian():
+    """``unvec(L vec rho)`` against -i[H, rho] + sum_c r_c D[c] rho, with
+    D[c] rho = c rho c^dag - {c^dag c, rho}/2, from dense operators."""
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        dims = (int(rng.integers(2, 6)), int(rng.integers(2, 5)))
+        omega_a, delta, g, gamma0, kappa0, n_a0, n_b0 = rng.uniform(0, 2, 7)
+        spec = SystemSpec(omega_a=omega_a + 0.1, delta=-delta, g=g,
+                          gamma0=gamma0, kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
+        counter_rotating = bool(rng.integers(2))
+        matrix = build_generator(spec, OracleConfig(
+            dims=dims, include_counter_rotating=counter_rotating)).matrix
+        n = dims[0] * dims[1]
+        a = np.kron(np.diag(np.sqrt(np.arange(1.0, dims[0])), 1),
+                    np.eye(dims[1]))
+        b = np.kron(np.eye(dims[0]),
+                    np.diag(np.sqrt(np.arange(1.0, dims[1])), 1))
+        coupling = ((a + a.T) @ (b + b.T) if counter_rotating
+                    else a.T @ b + a @ b.T)
+        hamiltonian = TWO_PI * (spec.omega_a * a.T @ a
+                                - spec.delta * b.T @ b + spec.g * coupling)
+        jumps = [(TWO_PI * gamma0 * (n_a0 + 1), a),
+                 (TWO_PI * gamma0 * n_a0, a.T),
+                 (TWO_PI * kappa0 * (n_b0 + 1), b),
+                 (TWO_PI * kappa0 * n_b0, b.T)]
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = x + x.conj().T
+        expected = -1j * (hamiltonian @ rho - rho @ hamiltonian)
+        for rate, c in jumps:
+            cdc = c.T @ c
+            expected += rate * (c @ rho @ c.T - 0.5 * (cdc @ rho + rho @ cdc))
+        action = (matrix @ rho.reshape(-1, order="F")).reshape((n, n),
+                                                               order="F")
+        scale = np.abs(matrix.data).max() * np.abs(rho).max()
+        assert np.abs(action - expected).max() <= 1e-14 * scale
+
+
+def test_gap_arnoldi_stops_at_its_restart_cap(monkeypatch):
+    # 1 MHz is just above the exceptional point g = (kappa0 - gamma0)/4,
+    # where the slowest even rates nearly share their modulus: the full
+    # model's Arnoldi needs about 50 restarts from the RWA mode and 80 from
+    # ones.  A miss from the RWA mode is retried once from ones, then raises.
+    spec = replace(FIGURE_BASE, g=1e6, n_a0=1.0)
+    generator = build_generator(spec, OracleConfig(dims=(6, 4)))
+    steady_state(generator.rwa)
+    starts = []
+
+    def recorded_eigs(operator, **kwargs):
+        starts.append(kwargs["v0"])
+        return eigs(operator, **kwargs)
+
+    monkeypatch.setattr(fock, "_GAP_RESTARTS", 10)
+    monkeypatch.setattr(fock, "eigs", recorded_eigs)
+    with pytest.raises(ArpackNoConvergence):
+        steady_state(generator)
+    assert len(starts) == 2
+    assert not np.all(starts[0] == 1.0) and np.all(starts[1] == 1.0)
+
+
+def test_stalled_rwa_start_retries_from_ones(scaled, monkeypatch, caplog):
+    generator = build_generator(scaled, OracleConfig(dims=(8, 4)))
+    reference = steady_state(generator)
+
+    def stalling_rwa_start(operator, **kwargs):
+        if not np.all(kwargs["v0"] == 1.0):
+            raise ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
+        return eigs(operator, **kwargs)
+
+    monkeypatch.setattr(fock, "eigs", stalling_rwa_start)
+    state, fields = logged_solve(caplog, generator)
+    assert fields["arnoldi_start"] == "rwa,ones"
+    assert np.max(np.abs(state.matrix - reference.matrix)) <= 1e-10
 
 
 def test_steady_state_log_is_silent_by_default(scaled, caplog):
