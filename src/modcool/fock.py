@@ -8,8 +8,9 @@ non-Hermitian ``H_eff = H - (i/2) sum_c r_c c^dag c``.  The module exists
 to verify the Gaussian solver and the closed-form results by a completely
 independent route.  Stationary states come from GMRES in the even-k sector
 preconditioned by the LU factor of the RWA Liouvillian (own LU where that
-is too weak), and their gap from an Arnoldi run that starts from the RWA
-model's slowest mode, and once more from ones if that run stalls.
+is too weak), one solve per right-hand side: one for the state, and one
+seeded solve in each parity sector whose Dixon bound on the smallest
+singular value certifies that the state is unique.
 Trajectories are ``expm(L t) rho0`` on a time grid, propagated in each
 parity sector of ``rho0`` separately and in real arithmetic: ``L`` preserves
 Hermiticity, so on the real coordinates of a Hermitian ``rho`` (diagonal, Re
@@ -34,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
-                                  gmres, splu)
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .model import SystemSpec, _require_finite, angular_rates
 
@@ -46,29 +46,19 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
 
-# Stationary route.  A solve needing more GMRES iterations than the budget
-# marks a weak preconditioner: at dims (14, 7) the even block's LU then costs
-# less (it matches 20-50 iterations per gap solve).  The odd block's LU costs
-# about 500, so its one solve gets ten budgets, cut short once a restart
-# cycle's residual reduction projects past them (at g = 0.3 ten cycles reach
-# only 2e-4).  The full model's gap Arnoldi run starts from the RWA model's
-# slowest mode.  Its Krylov dimension, one for both models, needs the fewest
-# full-model GMRES iterations (2,239) over g = 0.02, 0.05, 0.08 and 0.1 at
-# (14, 7) and the rescaled figure point at (10, 6) and (14, 7): ncv 5, 7-11
-# and 13 need 2,269-3,129.  ncv 7 and 8 save 6-8% at g = 0.02-0.034, but ncv
-# 8 doubles the cost at the figure point, (10, 6).
+# Stationary route.  A state solve needing more GMRES iterations than the
+# budget marks a weak preconditioner: at dims (14, 7) the even block's LU then
+# costs less (it matches 20-50 iterations).  A bound solve gets ten budgets,
+# cut short once a restart cycle's residual reduction projects past them: its
+# random right-hand side excites every slow mode (36 iterations at g = 0.1
+# and (14, 7), where the state takes 15), and the odd block's LU costs about
+# 500 (at g = 0.3 ten cycles reach only 2e-4).  A bound solve's residual is
+# subtracted in the bound itself (see steady_state), so 1e-10 of |v| lowers
+# it by at most 1e-7 sqrt(m) of theta |v| / |x|, m the sector size: 1e-5 at
+# m = 1e4.
 _GMRES_RTOL = 1e-13
-_GAP_SOLVE_RTOL = 1e-10
+_BOUND_SOLVE_RTOL = 1e-10
 _GMRES_BUDGET = 30
-_GAP_NCV = 6
-_GAP_TOL = 1e-10
-# Near the sideband's exceptional point g = (kappa0 - gamma0)/4 the slowest
-# even-sector rates nearly share their modulus, and an Arnoldi run can take
-# thousands of restarts (scipy's default cap is 10 n).  500 bounds a stalled
-# run to about 25 s at (14, 7); Tier-1 and the benchmark need at most 14.
-# Within 0.1% of that coupling, runs from ones took up to 333 restarts at
-# (10, 6) and (14, 7) and up to 758 at (7, 4), which the cap cuts.
-_GAP_RESTARTS = 500
 # Minimum degree on A + A^T, diagonal pivots: a third less fill than COLAMD.
 _LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
                "options": {"SymmetricMode": True}}
@@ -170,7 +160,7 @@ class FockGenerator:
         sectors = _pinned_sectors(self)
         factors = [_factor(block) for _, block in sectors]
         try:
-            return factors, _solve_sectors(self, sectors, factors, None)
+            return factors, _solve_sectors(self, sectors, factors)
         except DegenerateSteadyStateError as error:
             return factors, str(error)  # no traceback: it would hold self
 
@@ -294,14 +284,14 @@ def _check_positive(state: DensityState) -> None:
             f"density matrix has eigenvalue {floor:.3e} below -{POSITIVITY_TOL}")
 
 
-def _check_gap(spec: SystemSpec, gap: float, what: str) -> None:
+def _check_bound(spec: SystemSpec, bound: float, what: str) -> None:
     omega_a, _, _, gamma0, kappa0 = angular_rates(spec)
     rates = [r for r in (gamma0, kappa0) if r > 0]
     reference = min(rates) if rates else omega_a
-    if not gap >= 1e-7 * reference:
+    if not bound >= 1e-7 * reference:
         raise DegenerateSteadyStateError(
-            f"stationary subspace is degenerate: {what} {gap:.3e} 1/s "
-            f"(slowest dissipation scale {reference:.3e} 1/s)")
+            f"stationary subspace is degenerate: {what} bound {bound:.3e} "
+            f"1/s (slowest dissipation scale {reference:.3e} 1/s)")
 
 
 class _KrylovFailed(Exception):
@@ -411,11 +401,8 @@ class _SectorSolution:
     route: str
     even: np.ndarray  # the even sector's positions in vec(rho)
     vector: np.ndarray  # its stationary vector, before normalisation
-    gap: float
-    mode: np.ndarray  # Arnoldi's slowest eigenvector of the deflated inverse
-    arnoldi_start: str  # "rwa", "ones" or "rwa,ones" (see _stationary)
-    arnoldi_solves: int
     iterations: int  # GMRES iterations of both sectors
+    even_bound: float
     odd_bound: float
 
 
@@ -446,68 +433,40 @@ def _sector_solve(full: bool, factor, block: sp.csc_matrix,
     return route, job(lambda rhs, *_: factor.solve(rhs))
 
 
-def _stationary(solve, size: int, start: np.ndarray | None):
-    """Stationary vector, gap, slowest mode, Arnoldi start and solve count,
-    with ``solve(rhs, rtol) = A^-1 rhs``.
-
-    ``B(v) = A^-1 [0; v[1:]]`` is ``L^-1`` on traceless vectors and maps all
-    vectors to traceless ones, so its largest |eigenvalue| is 1/gap.  Arnoldi
-    starts from ``start``, the RWA model's slowest mode: the pair-creation
-    term moves the slow modes little, so fewer solves find the full model's.
-    Without one it starts from the all-ones vector, which reaches every
-    coherence sector of A.  A run from ``start`` that misses within
-    ``_GAP_RESTARTS`` restarts is run once more from the all-ones vector; a
-    miss from there raises ``ArpackNoConvergence``, a ``RuntimeError``.  The
-    start label is "rwa", "ones" or "rwa,ones".  The Krylov dimension
-    ``_GAP_NCV`` was chosen on a grid of couplings (see its comment).
-    """
-    vector = solve(np.eye(1, size, dtype=complex)[0], _GMRES_RTOL)
-    solves = 0
-
-    def deflated(v: np.ndarray) -> np.ndarray:
-        nonlocal solves
-        solves += 1
-        return solve(np.concatenate(([0.0], v.ravel()[1:])), _GAP_SOLVE_RTOL)
-
-    operator = LinearOperator((size, size), matvec=deflated, dtype=complex)
-    starts = [("ones", np.ones(size, dtype=complex))]
-    if start is not None:
-        starts.insert(0, ("rwa", start))
-    for tried, (_, v0) in enumerate(starts, 1):
-        try:
-            values, modes = eigs(operator, k=1, which="LM", ncv=_GAP_NCV,
-                                 tol=_GAP_TOL, v0=v0, maxiter=_GAP_RESTARTS)
-        except ArpackNoConvergence:
-            if tried == len(starts):
-                raise
-        else:
-            return (vector, 1.0 / abs(values[0]), modes[:, 0],
-                    ",".join(name for name, _ in starts[:tried]), solves)
+def _dixon_bound(spec: SystemSpec, block: sp.csc_matrix, solve,
+                 sector: str) -> float:
+    """Lower bound on sigma_min(``block``) from one seeded solve (see
+    :func:`steady_state`), tested by :func:`_check_bound`."""
+    v = np.random.default_rng(0).standard_normal(
+        2 * block.shape[0]).view(complex)
+    if sector == "even":
+        v[0] = 0.0  # the trace row's entry
+    x = solve(v, _BOUND_SOLVE_RTOL, 10 * _GMRES_BUDGET)
+    theta = math.sqrt(1e-6 / v.size)  # 1e-6: the failure probability
+    bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
+        v - block @ x)) / np.linalg.norm(x))
+    _check_bound(spec, bound, f"{sector}-sector singular value")
+    return bound
 
 
-def _solve_sectors(generator: FockGenerator, sectors: list, factors: list,
-                   start: np.ndarray | None) -> _SectorSolution:
-    """The even sector's state and gap and the odd sector's bound (see
+def _solve_sectors(generator: FockGenerator, sectors: list,
+                   factors: list) -> _SectorSolution:
+    """The even sector's state and both sectors' bounds (see
     :func:`steady_state`) on the pinned ``sectors``, with the RWA model's
-    sector ``factors`` and Arnoldi ``start``."""
-    full = generator.config.include_counter_rotating
-    (even, even_block), (odd, odd_block) = sectors
+    sector ``factors``."""
+    full, spec = generator.config.include_counter_rotating, generator.spec
+    (even, even_block), (_, odd_block) = sectors
     iterations: list[int] = []
-    route, (vector, gap, mode, arnoldi_start, solves) = _sector_solve(
-        full, factors[0], even_block, iterations,
-        lambda solve: _stationary(solve, even.size, start))
-    _check_gap(generator.spec, gap, "spectral gap")
-    v = np.random.default_rng(0).standard_normal(2 * odd.size).view(complex)
-    _, x = _sector_solve(full, factors[1], odd_block, iterations, lambda solve:
-                         solve(v, _GAP_SOLVE_RTOL, 10 * _GMRES_BUDGET))
-    theta = math.sqrt(1e-6 / odd.size)  # 1e-6: the failure probability
-    odd_bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
-        v - odd_block @ x)) / np.linalg.norm(x))
-    _check_gap(generator.spec, odd_bound, "odd-sector singular value")
-    return _SectorSolution(
-        route=route, even=even, vector=vector, gap=gap, mode=mode,
-        arnoldi_start=arnoldi_start, arnoldi_solves=solves,
-        iterations=sum(iterations), odd_bound=odd_bound)
+    route, (vector, even_bound) = _sector_solve(
+        full, factors[0], even_block, iterations, lambda solve: (
+            solve(np.eye(1, even.size, dtype=complex)[0], _GMRES_RTOL),
+            _dixon_bound(spec, even_block, solve, "even")))
+    _, odd_bound = _sector_solve(
+        full, factors[1], odd_block, iterations,
+        lambda solve: _dixon_bound(spec, odd_block, solve, "odd"))
+    return _SectorSolution(route=route, even=even, vector=vector,
+                           iterations=sum(iterations),
+                           even_bound=even_bound, odd_bound=odd_bound)
 
 
 def steady_state(generator: FockGenerator) -> DensityState:
@@ -517,26 +476,28 @@ def steady_state(generator: FockGenerator) -> DensityState:
     e_0`` (that block, row 0 omega_a times the trace) is solved by GMRES
     preconditioned by the LU of the same block of the RWA part of ``L`` (P.
     D. Nation, arXiv:1504.06768), exact without a pair-creation term, else by
-    the LU of ``A``.  The gap comes from an Arnoldi run on the same solves.
-    The RWA model solves its sectors once, beside its LUs
-    (``steady_state(g.rwa)`` reuses that), and the full model's Arnoldi
-    starts from the RWA model's slowest even mode; from the all-ones vector
-    where the RWA model is singular or degenerate.  ``x = L_oo^-1 v``, ``v``
-    a seeded complex Gaussian of size m, bounds sigma_min(L_oo) >= (theta |v| - |v - L_oo x|)
-    / |x| but for a chance below m theta^2 = 1e-6 (J. D. Dixon, SIAM J.
-    Numer. Anal. 20, 812 (1983)).  A gap or bound under 1e-7 of the slowest
-    dissipation rate, or a singular LU, raises
-    :class:`DegenerateSteadyStateError`.  The state must meet
-    ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
-    check; route, iterations, residual, gap, sectors, bound and the Arnoldi
-    start and solve count go to DEBUG.
+    the LU of ``A``.  The RWA model solves its sectors once, beside its LUs
+    (``steady_state(g.rwa)`` reuses that).  Each sector then takes one more
+    solve: ``x = B^-1 v`` for its block ``B`` (``A``, or the odd block
+    ``L_oo``) of size m and a seeded complex Gaussian ``v`` (its trace entry
+    zero for ``A``) bounds sigma_min(B) >= (theta |v| - |v - B x|) / |x| but
+    for a chance below m theta^2 = 1e-6 (J. D. Dixon, SIAM J. Numer. Anal. 20,
+    812 (1983)).  The zero trace entry keeps that chance wherever sigma_min(A)
+    is small against omega_a: the direction ``A^-1`` stretches most is then
+    nearly traceless, since ``A^-1 e_0`` is rho / omega_a, of norm at most
+    1 / omega_a.  A bound under 1e-7 of the slowest dissipation rate, or a
+    singular LU, raises :class:`DegenerateSteadyStateError`; a returned state
+    certifies sigma_min(A) and sigma_min(L_oo) each at least 1e-7 of that
+    rate, each but for a chance below 1e-6.  No eigensolver runs.  The state
+    must meet ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the
+    tail check; route, iterations, residual, sectors and both bounds go to
+    DEBUG.
     """
     config = generator.config
     if config.include_counter_rotating:
-        factors, rwa = generator.rwa._exact_solve
-        solution = _solve_sectors(
-            generator, _pinned_sectors(generator), factors,
-            rwa.mode if isinstance(rwa, _SectorSolution) else None)
+        factors, _ = generator.rwa._exact_solve
+        solution = _solve_sectors(generator, _pinned_sectors(generator),
+                                  factors)
     else:
         _, solution = generator._exact_solve
         if isinstance(solution, str):
@@ -550,11 +511,10 @@ def steady_state(generator: FockGenerator) -> DensityState:
     resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
                                 compute_uv=False).sum())
     logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "
-                 "gap=%s sectors=%d/%d odd_bound=%s arnoldi_start=%s "
-                 "arnoldi_solves=%d", solution.route, solution.iterations,
-                 resid, solution.gap, solution.even.size,
-                 n * n - solution.even.size, solution.odd_bound,
-                 solution.arnoldi_start, solution.arnoldi_solves)
+                 "sectors=%d/%d even_bound=%s odd_bound=%s", solution.route,
+                 solution.iterations, resid, solution.even.size,
+                 n * n - solution.even.size, solution.even_bound,
+                 solution.odd_bound)
     if not resid <= tolerance:
         raise RuntimeError(
             f"stationary residual {resid:.3e} exceeds {tolerance:.3e}")

@@ -650,25 +650,32 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     assert report.backaction_gap > 0
 
 
-def test_compare_runs_each_arnoldi_once(scaled, monkeypatch):
-    # One gap run per model: the full model's starts from the RWA model's
-    # slowest mode, and the RWA model's own steady state reuses its run.
-    # Each model's sectors are split once.
-    runs, splits = [], []
-    eigs, pinned_sectors = fock.eigs, fock._pinned_sectors
+def test_compare_solves_each_right_hand_side_once(scaled, monkeypatch):
+    # No eigensolver loop: each model's sectors are split once, its even
+    # sector solves the state and its bound, and its odd sector the bound.
+    # The RWA model's own steady state reuses its solves.
+    solves, splits = [], []
+    sector_solve, pinned_sectors = fock._sector_solve, fock._pinned_sectors
 
-    def counted_eigs(operator, **kwargs):
-        runs.append(operator.shape)
-        return eigs(operator, **kwargs)
+    def counted_sector_solve(full, factor, block, iterations, job):
+        solves.append([full, 0])
+
+        def counted_job(solve):
+            def counted(*args):
+                solves[-1][1] += 1
+                return solve(*args)
+            return job(counted)
+
+        return sector_solve(full, factor, block, iterations, counted_job)
 
     def counted_pinned_sectors(generator):
         splits.append(generator.config.include_counter_rotating)
         return pinned_sectors(generator)
 
-    monkeypatch.setattr(fock, "eigs", counted_eigs)
+    monkeypatch.setattr(fock, "_sector_solve", counted_sector_solve)
     monkeypatch.setattr(fock, "_pinned_sectors", counted_pinned_sectors)
     compare(scaled, fock.OracleConfig(dims=(8, 4)))
-    assert runs == [(512, 512), (512, 512)]
+    assert solves == [[False, 2], [False, 1], [True, 2], [True, 1]]
     assert sorted(splits) == [False, True]
 
 
