@@ -372,9 +372,9 @@ def solve_point(spec: SystemSpec, solvers: tuple[str, ...],
 
     ``solvers`` must have passed :func:`check_solvers`.  A solver failure
     (``ArithmeticError``, ``RuntimeError`` or ``ValueError``: the package's
-    own errors, SuperLU, ARPACK, ``LinAlgError``) becomes the row's
-    diagnostic and never stops the other solvers; any other exception is a
-    programming error and propagates.
+    own errors, SuperLU, ``LinAlgError``) becomes the row's diagnostic and
+    never stops the other solvers; any other exception is a programming
+    error and propagates.
     """
     rates, occupations, diagnostics = {}, {}, {}
     for solver in solvers:

@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply, spsolve
+from scipy.sparse.linalg import expm_multiply, splu, spsolve
 
 from modcool import SystemSpec, analytic, fock, gaussian
 from modcool.cli import FIGURE_BASE, SCALED_BASE
@@ -305,6 +305,72 @@ def test_liouvillian_changes_k_by_zero_or_two(dims, rates, counter_rotating):
     assert np.array_equal(generator.rwa.matrix.toarray(), full)
 
 
+def mirrored_positions(index, dims):
+    """Positions in ``index`` of its k > 0 elements |i><j|, and of their
+    mirrors |j><i| in the same order."""
+    n = dims[0] * dims[1]
+    position = {int(p): s for s, p in enumerate(index)}
+    k = excitation_difference(dims)
+    plus = [s for s, p in enumerate(index) if k[p] > 0]
+    minus = [position[int(index[s] // n + n * (index[s] % n))] for s in plus]
+    return np.array(plus), np.array(minus)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(dims=st.tuples(st.integers(2, 5), st.integers(2, 4)),
+       rates=st.lists(st.floats(0.0, 2.0), min_size=7, max_size=7),
+       blue=st.booleans(), counter_rotating=st.booleans())
+@example(dims=(4, 3), rates=[1.0, 0.5, 0.3, 0.0, 0.2, 0.4, 0.6], blue=True,
+         counter_rotating=True)
+def test_rwa_k_negative_blocks_mirror_the_k_positive_ones(
+        dims, rates, blue, counter_rotating):
+    # L(rho^dag) = L(rho)^dag and a kept k make every pinned sector block of
+    # the RWA model, on the mirrors of its k > 0 positions, the exact
+    # conjugate of its k > 0 block; the sector factor relies on that.
+    omega_a, delta, g, gamma0, kappa0, n_a0, n_b0 = rates
+    spec = SystemSpec(omega_a=omega_a + 0.1, delta=delta if blue else -delta,
+                      g=g, gamma0=gamma0, kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
+    generator = build_generator(spec, OracleConfig(
+        dims=dims, include_counter_rotating=counter_rotating)).rwa
+    for index, block in fock._pinned_sectors(generator):
+        plus, minus = mirrored_positions(index, dims)
+        dense = block.toarray()
+        assert np.array_equal(dense[np.ix_(minus, minus)],
+                              dense[np.ix_(plus, plus)].conj())
+        factor = fock._mirror_factor(index, block, dims)
+        if factor is not None:
+            assert np.array_equal(factor.plus, plus)
+            assert np.array_equal(factor.minus, minus)
+
+
+@pytest.mark.parametrize("spec, dims", [
+    (SCALED_BASE, (8, 4)),
+    (FIGURE_BASE, (7, 4)),
+    (SystemSpec(omega_a=1.0, delta=0.7, g=0.1, gamma0=0.0, kappa0=0.3,
+                n_a0=0.5, n_b0=0.4), (6, 5)),
+])
+def test_mirror_factor_solves_as_the_whole_sector_lu(spec, dims):
+    generator = build_generator(spec, OracleConfig(dims=dims)).rwa
+    rng = np.random.default_rng(3)
+    for index, block in fock._pinned_sectors(generator):
+        rhs = rng.standard_normal(2 * index.size).view(complex)
+        expected = splu(block).solve(rhs)
+        solution = fock._mirror_factor(index, block, dims).solve(rhs)
+        assert (np.linalg.norm(solution - expected)
+                <= 1e-12 * np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("spec, iterations", [(SCALED_BASE, 34),
+                                              (FIGURE_BASE, 86)])
+def test_mirror_factor_preconditions_as_the_whole_sector_lu(
+        spec, iterations, caplog):
+    # The iteration totals of the whole-sector RWA LUs at (14, 7).
+    _, fields = logged_solve(
+        caplog, build_generator(spec, OracleConfig(dims=(14, 7))))
+    assert fields["route"] == "krylov"
+    assert int(fields["gmres_iterations"]) == iterations
+
+
 def test_liouvillian_acts_as_the_textbook_lindbladian():
     """``unvec(L vec rho)`` against -i[H, rho] + sum_c r_c D[c] rho, with
     D[c] rho = c rho c^dag - {c^dag c, rho}/2, from dense operators."""
@@ -376,13 +442,12 @@ def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.05,
                       kappa0=0.3, n_a0=0.5, n_b0=0.0)
     generator = build_generator(spec, OracleConfig(dims=(10, 7)))
-    liouvillian = fock._liouvillian
+    exchange_part = fock._exchange_part
 
-    def zero_rwa_part(spec, config):
-        matrix = liouvillian(spec, config)
-        return matrix if config.include_counter_rotating else 0 * matrix
+    def zero_rwa_part(matrix, dims):
+        return 0 * exchange_part(matrix, dims)
 
-    monkeypatch.setattr(fock, "_liouvillian", zero_rwa_part)
+    monkeypatch.setattr(fock, "_exchange_part", zero_rwa_part)
     state, fields = logged_solve(caplog, generator)
     assert fields["route"] == "lu-fallback"
     assert np.max(np.abs(state.matrix
@@ -396,18 +461,15 @@ def test_degenerate_rwa_model_starts_arnoldi_from_ones(monkeypatch):
                       kappa0=0.3, n_a0=0.05, n_b0=0.0)
     config = OracleConfig(dims=(6, 4), tail_threshold=1e-4)
     generator = build_generator(spec, config)
-    column = parity_sectors(config.dims)[1][3]
-    liouvillian = fock._liouvillian
+    column = parity_sectors(config.dims)[1][3]  # |1,2><0,0|, k = 3
+    exchange_part = fock._exchange_part
 
-    def degenerate_rwa_part(spec, config):
-        matrix = liouvillian(spec, config)
-        if config.include_counter_rotating:
-            return matrix
-        matrix = matrix.tolil()
+    def degenerate_rwa_part(matrix, dims):
+        matrix = exchange_part(matrix, dims).tolil()
         matrix[:, column] = 1e-13 * matrix[:, column]
         return matrix.tocsr()
 
-    monkeypatch.setattr(fock, "_liouvillian", degenerate_rwa_part)
+    monkeypatch.setattr(fock, "_exchange_part", degenerate_rwa_part)
     for _ in range(2):  # the stored outcome raises again
         with pytest.raises(DegenerateSteadyStateError, match="odd-sector"):
             steady_state(generator.rwa)
@@ -731,6 +793,15 @@ def test_evolve_rejects_too_few_points(num_points):
     hot = thermal_density(SECTOR_CONFIG.dims, 4.0, 0.0)  # tails checked later
     with pytest.raises(ValueError, match="num_points must be at least 2"):
         evolve(generator, hot, 1.0, num_points=num_points)
+
+
+def test_oracle_config_takes_integer_dims_only():
+    config = OracleConfig(dims=(np.int64(6), np.int32(4)))
+    assert config.dims == (6, 4)
+    assert all(type(dim) is int for dim in config.dims)
+    for dims in [(3.5, 3), (3, 2.0)]:
+        with pytest.raises(TypeError):
+            OracleConfig(dims=dims)
 
 
 def test_oracle_config_validation():

@@ -632,9 +632,9 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     builds, factors = [], []
     liouvillian, splu = fock._liouvillian, fock.splu
 
-    def counted_liouvillian(spec, config):
-        builds.append(config.include_counter_rotating)
-        return liouvillian(spec, config)
+    def counted_liouvillian(spec, dims):
+        builds.append(dims)
+        return liouvillian(spec, dims)
 
     def counted_splu(matrix, **kwargs):
         factors.append(matrix.shape)
@@ -643,10 +643,18 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     monkeypatch.setattr(fock, "_liouvillian", counted_liouvillian)
     monkeypatch.setattr(fock, "splu", counted_splu)
     report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
-    assert sorted(builds) == [False, True]
-    # One factor per parity sector of the RWA model; its even factor is the
-    # preconditioner of the full model too.
-    assert factors == [(512, 512), (512, 512)]
+    # One assembly: the RWA model is the full one's k-keeping part.
+    assert builds == [(8, 4)]
+    # The RWA model's factors, also the full model's preconditioners: the
+    # k = 0 block of the even sector, then the union of the k > 0 blocks of
+    # each sector; the k < 0 blocks are their conjugate mirrors.
+    excitations = np.add.outer(np.arange(8), np.arange(4)).ravel()
+    k = np.subtract.outer(excitations, excitations).ravel()
+    sizes = [np.count_nonzero(k == 0),
+             np.count_nonzero((k > 0) & (k % 2 == 0)),
+             np.count_nonzero((k > 0) & (k % 2 == 1))]
+    assert factors == [(size, size) for size in sizes]
+    assert sum(sizes) <= 0.6 * 2 * 512  # the two whole sector blocks
     assert report.backaction_gap > 0
 
 
