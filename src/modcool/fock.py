@@ -1,28 +1,19 @@
 """Brute-force master-equation oracle on a truncated two-mode Fock space.
 
 The rotating-frame Hamiltonian H with the bilinear coupling and the local
-thermal jumps c at rates r_c form one sparse Liouvillian on column-stacked
-density matrices, ``L = -i (I (x) H_eff - conj(H_eff) (x) I) + sum_c r_c
-conj(c) (x) c`` with the non-Hermitian ``H_eff = H - (i/2) sum_c r_c c^dag
-c``.  Its entries that keep k = N(i) - N(j) of |i><j| form the
-exchange-only (RWA) model, the coupling's pair-creation part dropped.  The
-module exists to verify the Gaussian solver and the closed-form results by
-a completely independent route.  Stationary states come from GMRES in the
-even-k sector preconditioned by the LU factor of the RWA Liouvillian (own
-LU where that is too weak), one solve per right-hand side: one for the
-state, and one seeded solve in each parity sector whose Dixon bound on the
-smallest singular value certifies that the state is unique.  The RWA model
-is the direct sum of its k-blocks, and its k < 0 blocks are the complex
-conjugates of their k > 0 mirrors, so only the k >= 0 blocks are factored:
-about half the fill of the whole sectors (0.20M against 0.36M nonzeros for
-both sectors at (14, 7)).
-Trajectories are ``expm(L t) rho0`` on a time grid, propagated in each
-parity sector of ``rho0`` separately and in real arithmetic: ``L`` preserves
-Hermiticity, so on the real coordinates of a Hermitian ``rho`` (diagonal, Re
-and Im of each upper coherence) it is a real matrix.  The stationary route
-keeps the complex blocks, because that basis pairs k with -k and so merges
-the RWA's k-blocks: the LU fill of the (14, 7) RWA even sector would rise
-from 0.11M to 0.79M.
+thermal jumps c at rates r_c form one sparse Liouvillian ``L rho = -i (H_eff
+rho - rho H_eff^dag) + sum_c r_c c rho c^dag``, ``H_eff = H - (i/2) sum_c r_c
+c^dag c``, on column-stacked density matrices, written entry by entry from
+index arithmetic; its entries that keep k = N(i) - N(j) of |i><j| form the
+exchange-only (RWA) model.  The module verifies the Gaussian solver and the
+closed forms by a completely independent route.  ``L`` is the direct sum of
+its even-k and odd-k blocks, each laid out as [k = 0 | k > 0 | mirrors of k >
+0].  Stationary states come from GMRES in the even block preconditioned by
+the RWA model's LU, factored in its k >= 0 parts only (the k < 0 parts are
+their conjugate mirrors); one seeded solve per block certifies uniqueness.
+Trajectories are ``expm(L t) rho0``, propagated per block in real arithmetic.
+The stationary route stays complex, as the real basis pairs k with -k and
+merges the RWA k-blocks (LU fill 0.11M to 0.79M in the (14, 7) even block).
 
 Frequencies in the :class:`~modcool.model.SystemSpec` are ordinary (Hz) and
 are converted to angular units here; evolution times are seconds.  The
@@ -37,7 +28,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,11 +50,9 @@ TRACE_DRIFT_TOL = 1e-8
 # random right-hand side excites every slow mode (36 iterations at g = 0.1
 # and (14, 7), where the state takes 15), and the odd block's LU costs about
 # 500 (at g = 0.3 ten cycles reach only 2e-4).  A bound solve's residual is
-# subtracted in the bound itself (see steady_state), so 1e-10 of |v| lowers
-# it by at most 1e-7 sqrt(m) of theta |v| / |x|, m the sector size: 1e-5 at
-# m = 1e4.
+# subtracted in the bound itself (see steady_state), so it stops at theta
+# |v| / 1000, which lowers the bound by at most 0.1%.
 _GMRES_RTOL = 1e-13
-_BOUND_SOLVE_RTOL = 1e-10
 _GMRES_BUDGET = 30
 # Minimum degree on A + A^T, diagonal pivots: a third less fill than COLAMD.
 _LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
@@ -155,24 +144,26 @@ class FockGenerator:
 
     @cached_property
     def rwa(self) -> FockGenerator:
-        """This model without the pair-creation term (:func:`_exchange_part`
-        of ``matrix``); kept, with its factors."""
+        """This model without the pair-creation term; kept, with its factors."""
         config = replace(self.config, include_counter_rotating=False)
-        return FockGenerator(spec=self.spec, config=config,
-                             matrix=_exchange_part(self.matrix, config.dims))
+        matrix = _exchange_part(self.matrix, _layout(config.dims)[0])
+        return FockGenerator(spec=self.spec, config=config, matrix=matrix)
 
-    @cached_property
-    def _exact_solve(self) -> tuple[list, _SectorSolution | str]:
+    def _exact_solve(self, split: list[_Sector] | None = None
+                     ) -> tuple[list, _SectorSolution | str]:
         """Sector factors (:func:`_mirror_factor`) of this model without a
-        pair-creation term, and its sector solution or the reason it is
-        degenerate.  One split of ``L`` serves both and is released after."""
-        sectors = _pinned_sectors(self)
-        factors = [_mirror_factor(index, block, self.config.dims)
-                   for index, block in sectors]
-        try:
-            return factors, _solve_sectors(self, sectors, factors)
-        except DegenerateSteadyStateError as error:
-            return factors, str(error)  # no traceback: it would hold self
+        pair-creation term, and its sector solution or why it is degenerate,
+        made once from the k-keeping part of ``split`` (the full model's) or
+        else of its own :func:`_split`."""
+        if "_exact" not in self.__dict__:  # stored as a cached_property is
+            sectors = [s.exchange_part() for s in split or _split(self)]
+            factors = [_mirror_factor(sector) for sector in sectors]
+            try:
+                outcome = _solve_sectors(self, sectors, factors)
+            except DegenerateSteadyStateError as error:
+                outcome = str(error)  # no traceback: it would hold self
+            self.__dict__["_exact"] = factors, outcome
+        return self.__dict__["_exact"]
 
 
 @dataclass(frozen=True)
@@ -183,19 +174,6 @@ class FockTrajectory:
     states: tuple[DensityState, ...]
 
 
-def _destroy(n: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr", dtype=complex)
-
-
-def _mode_operators(dims: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    n_a, n_b = dims
-    a = sp.kron(_destroy(n_a), sp.identity(n_b, dtype=complex, format="csr"),
-                format="csr")
-    b = sp.kron(sp.identity(n_a, dtype=complex, format="csr"), _destroy(n_b),
-                format="csr")
-    return a, b
-
-
 def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
     """Assemble the sparse Liouvillian for a spec on the truncated space.
 
@@ -204,59 +182,71 @@ def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
     68, 580 (1992)).  H (angular units): omega_a a^dag a - delta b^dag b plus
     the bilinear coupling g (a + a^dag)(b + b^dag).  Jumps c: local thermal
     damping at gamma0 and kappa0, bath occupations n_a0 and n_b0, where r_c >
-    0.  Without ``config.include_counter_rotating`` only the
-    excitation-exchange part of the coupling stays: :func:`_exchange_part`.
+    0.  Each entry is written from index arithmetic (:func:`_liouvillian`).
+    Without ``config.include_counter_rotating`` only the excitation-exchange
+    part of the coupling stays: :func:`_exchange_part`.
     """
-    matrix = _liouvillian(spec, config.dims)
-    if not config.include_counter_rotating:
-        matrix = _exchange_part(matrix, config.dims)
-    return FockGenerator(spec=spec, config=config, matrix=matrix)
+    full = replace(config, include_counter_rotating=True)
+    generator = FockGenerator(spec, full, _liouvillian(spec, config.dims))
+    return generator if config.include_counter_rotating else generator.rwa
 
 
-def _excitation_difference(dims: tuple[int, int]) -> np.ndarray:
-    """k = N(i) - N(j) of each |i><j| in column stacking, N counting both
-    modes' excitations."""
-    excitations = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).ravel()
-    return np.subtract.outer(excitations, excitations).ravel(order="F")
-
-
-def _exchange_part(matrix: sp.csr_matrix,
-                   dims: tuple[int, int]) -> sp.csr_matrix:
-    """The entries of a Liouvillian that keep k (see
-    :func:`_excitation_difference`).
-
-    The pair-creation terms a b and a^dag b^dag move k by +-2 and every
-    other term of :func:`_liouvillian` keeps it, so on the full Liouvillian
-    these are exactly the entries of the exchange-only (RWA) model.
-    """
-    k = _excitation_difference(dims)
-    matrix = matrix.tocsr()
-    keep = np.repeat(k, np.diff(matrix.indptr)) == k[matrix.indices]
-    kept = np.concatenate(([0], np.cumsum(keep)))  # entries kept before each
-    return sp.csr_matrix(
-        (matrix.data[keep], matrix.indices[keep], kept[matrix.indptr]),
-        shape=matrix.shape)
+def _exchange_part(matrix: sp.csr_matrix, k: np.ndarray) -> sp.csr_matrix:
+    """The entries of a CSR Liouvillian, or of a sector block, whose row and
+    column have the same k (:func:`_layout`).  The pair-creation terms a b
+    and a^dag b^dag move k by +-2 and every other term keeps it, so these are
+    exactly the entries of the exchange-only (RWA) model."""
+    keep = np.flatnonzero(np.repeat(k, np.diff(matrix.indptr))
+                          == k[matrix.indices])
+    return sp.csr_matrix((matrix.data[keep], matrix.indices[keep],
+                          np.searchsorted(keep, matrix.indptr)),
+                         shape=matrix.shape)
 
 
 def _liouvillian(spec: SystemSpec, dims: tuple[int, int]) -> sp.csr_matrix:
-    a, b = _mode_operators(dims)
-    a_dag, b_dag = a.conj().T.tocsr(), b.conj().T.tocsr()
-    identity = sp.identity(dims[0] * dims[1], dtype=complex, format="csr")
-    omega_a, delta, g, gamma0, kappa0 = angular_rates(spec)
-    jumps = [(rate, c) for rate, c in (
-        (gamma0 * (spec.n_a0 + 1.0), a),
-        (gamma0 * spec.n_a0, a_dag),
-        (kappa0 * (spec.n_b0 + 1.0), b),
-        (kappa0 * spec.n_b0, b_dag),
-    ) if rate > 0]
+    """:func:`build_generator`'s L, entry by entry, with int32 indices.
 
-    h_eff = (omega_a * (a_dag @ a) - delta * (b_dag @ b)
-             + g * ((a + a_dag) @ (b + b_dag))
-             - 0.5j * sum(rate * (c.conj().T @ c) for rate, c in jumps))
-    return (-1j * (sp.kron(identity, h_eff, format="csr")
-                   - sp.kron(h_eff.conj(), identity, format="csr"))
-            + sum(rate * sp.kron(c.conj(), c, format="csr")
-                  for rate, c in jumps)).tocsr()
+    A ladder operator c has one entry per row s, ``amp[s]`` at column s +
+    shift (zero past the truncation).  With E the diagonal of H_eff and C = (a
+    + a^dag)(b + b^dag), each term moves |i><j|, at p = i + n j of vec(rho),
+    by one shift: -i (E_i - conj(E_j)) at p; -i g C_{i,i+o} at p + o and i g
+    C_{j,j+o} at p + n o for each shift o of C; r_c c_{i,i+o} c_{j,j+o} at p
+    + (n + 1) o for a jump of shift o.  The shifts are distinct: sorted, they
+    sort each row's columns.
+    """
+    (n_a, n_b), n = dims, dims[0] * dims[1]
+    omega_a, delta, g, gamma0, kappa0 = angular_rates(spec)
+    level_a, level_b = np.divmod(np.arange(n), n_b)
+    a, a_dag, b, b_dag = (
+        (n_b, np.sqrt(np.where(level_a < n_a - 1, level_a + 1.0, 0.0))),
+        (-n_b, np.sqrt(level_a)),
+        (1, np.sqrt(np.where(level_b < n_b - 1, level_b + 1.0, 0.0))),
+        (-1, np.sqrt(level_b)))
+    jumps = [(rate, c) for rate, c in (
+        (gamma0 * (spec.n_a0 + 1.0), a), (gamma0 * spec.n_a0, a_dag),
+        (kappa0 * (spec.n_b0 + 1.0), b), (kappa0 * spec.n_b0, b_dag))
+        if rate > 0]
+    # c^dag c is diagonal, amp[s]^2 at s + shift; np.roll wraps only zeros.
+    energy = omega_a * level_a - delta * level_b - 0.5j * sum(
+        rate * np.roll(amp ** 2, shift) for rate, (shift, amp) in jumps)
+    # Each term's value at |i><j| is its [j, i] entry, broadcast.
+    terms = [(0, -1j * (energy - energy.conj()[:, None]))]
+    for shift_a, amp_a in (a, a_dag):
+        for shift_b, amp_b in (b, b_dag):
+            coupling, shift = g * amp_a * amp_b, shift_a + shift_b
+            terms += [(shift, -1j * coupling),
+                      (n * shift, 1j * coupling[:, None])]
+    terms += [((n + 1) * shift, rate * np.outer(amp, amp))
+              for rate, (shift, amp) in jumps]
+    terms.sort(key=lambda term: term[0])
+    values = np.stack([np.broadcast_to(value, (n, n)) for _, value in terms],
+                      axis=-1).reshape(n * n, -1)  # row p, a column per term
+    nonzero = values != 0
+    columns = np.arange(n * n, dtype=np.int32)[:, None] + np.array(
+        [shift for shift, _ in terms], dtype=np.int32)
+    counts = np.count_nonzero(nonzero, axis=1)
+    return sp.csr_matrix((values[nonzero], columns[nonzero], np.concatenate(
+        ([0], np.cumsum(counts, dtype=np.int32)))), shape=(n * n, n * n))
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
@@ -307,10 +297,6 @@ def thermal_density(dims: tuple[int, int], n_a: float,
     return DensityState(dims=dims, matrix=np.diag(diag.astype(complex)))
 
 
-def _hermitize(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.conj().T)
-
-
 def _check_positive(state: DensityState) -> None:
     floor = state.eigenvalue_floor()
     if floor < -POSITIVITY_TOL:
@@ -332,44 +318,71 @@ class _KrylovFailed(Exception):
     """A preconditioned solve did not converge within the GMRES budget."""
 
 
-def _parity_index(generator: FockGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in vec(rho) of even and odd k = N(i) - N(j) of |i><j| (N
-    counts both modes' excitations; ``L`` moves k by 0 or +-2: B. Buca and T.
-    Prosen, New J. Phys. 14, 073007 (2012)), so ``L`` is the direct sum of
-    its two sector blocks.  Every |i><i| is even, |0><0| first."""
-    odd = _excitation_difference(generator.config.dims) % 2 == 1
-    rows, cols = generator.matrix.nonzero()
-    if np.any(odd[rows] != odd[cols]):
-        raise ValueError("the Liouvillian couples the even and odd sectors")
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
+@dataclass(frozen=True)
+class _Sector:
+    """One parity block of ``L`` in the order of :func:`_layout`."""
+
+    index: np.ndarray  # the position in vec(rho) of each row and column
+    k: np.ndarray  # their k
+    block: sp.csr_matrix
+
+    def exchange_part(self) -> _Sector:
+        """The block's entries that keep k: the RWA model's block."""
+        return replace(self, block=_exchange_part(self.block, self.k))
 
 
-def _sectors(generator: FockGenerator) -> list[tuple[np.ndarray, sp.csr_matrix]]:
-    """Index (:func:`_parity_index`) and block of ``L`` for each sector."""
-    return [(index, generator.matrix[index][:, index])
-            for index in _parity_index(generator)]
+@lru_cache(maxsize=4)
+def _layout(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """k = N(i) - N(j) of each |i><j| in vec(rho) (N counts both modes'
+    excitations), its place in its parity sector, and ``(index, k)`` of the
+    even and the odd sector: positions in vec(rho) in the order [k = 0 | k >
+    0 | the mirrors |j><i| of the k > 0 part, in the same order], |0><0|
+    first.  ``L`` moves k by 0 or +-2 (B. Buca and T. Prosen, New J. Phys.
+    14, 073007 (2012)): it is the direct sum of the two sector blocks."""
+    n = dims[0] * dims[1]
+    excitations = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).ravel()
+    k = np.subtract.outer(excitations, excitations).ravel(order="F")
+    mirror = np.arange(n * n).reshape(n, n).ravel(order="F")  # of each |i><j|
+    local, sectors = np.empty(n * n, dtype=np.int32), []
+    for odd in (0, 1):
+        plus = np.flatnonzero((k % 2 == odd) & (k > 0))
+        index = np.concatenate([np.flatnonzero((k % 2 == odd) & (k == 0)),
+                                plus, mirror[plus]])
+        local[index] = np.arange(index.size)
+        sectors.append((index, k[index]))
+    for array in (k, local, *(a for sector in sectors for a in sector)):
+        array.flags.writeable = False  # shared by every call
+    return k, local, tuple(sectors)
 
 
-def _pinned_sectors(
-        generator: FockGenerator) -> list[tuple[np.ndarray, sp.csc_matrix]]:
-    """:func:`_sectors` as solved: row 0 of the even block becomes the trace,
-    weighted by omega_a so that it scales with the rates of the other rows."""
+def _split(generator: FockGenerator, parities: tuple[int, ...] = (0, 1),
+           pinned: bool = True) -> list[_Sector]:
+    """CSR blocks of ``L`` on the sectors ``parities`` (0 even, 1 odd) of
+    :func:`_layout`; with ``pinned``, row 0 of the even block is omega_a times
+    the trace, to scale with the rest.  ``ValueError`` if they are coupled."""
     n = generator.config.dims[0] * generator.config.dims[1]
-    matrix = generator.matrix.tocsr()
-    start = matrix.indptr[1]  # the end of row 0, replaced by the trace
-    pinned = sp.csr_matrix(
-        (np.concatenate([np.full(n, generator.spec.omega_a, dtype=complex),
-                         matrix.data[start:]]),
-         np.concatenate([np.arange(n) * (n + 1), matrix.indices[start:]]),
-         np.concatenate([[0], matrix.indptr[1:] + n - start])),
-        shape=matrix.shape).tocsc()
-    return [(index, pinned[:, index][index])
-            for index in _parity_index(generator)]
+    k, local, layout = _layout(generator.config.dims)
+    odd, matrix = k % 2, generator.matrix.tocsr()
+    if np.any(np.repeat(odd, np.diff(matrix.indptr)) != odd[matrix.indices]):
+        raise ValueError("the Liouvillian couples the even and odd sectors")
+    sectors = []
+    for parity in parities:
+        index, labels = layout[parity]
+        rows = matrix[index]
+        data, indices, indptr = rows.data, local[rows.indices], rows.indptr
+        if pinned and not parity:  # row 0, |0><0|, becomes the trace
+            start, weight = indptr[1], generator.spec.omega_a
+            data = np.concatenate([np.full(n, weight, complex), data[start:]])
+            indices = np.concatenate([local[::n + 1], indices[start:]])
+            indptr = np.concatenate([[0], indptr[1:] + n - start])
+        sectors.append(_Sector(index, labels, sp.csr_matrix(
+            (data, indices, indptr), shape=(index.size, index.size))))
+    return sectors
 
 
 def _real_form(index: np.ndarray, block: sp.csr_matrix,
                n: int) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """``(T, P, (P block T).real)`` for one sector of :func:`_sectors`.
+    """``(T, P, (P block T).real)`` for one unpinned sector (:func:`_split`).
 
     ``T`` maps real coordinates to ``vec(rho)[index]`` of a Hermitian
     ``rho``: coordinate c is rho_ii at a diagonal position c of ``index``,
@@ -379,8 +392,8 @@ def _real_form(index: np.ndarray, block: sp.csr_matrix,
     that preserves Hermiticity makes ``P block T`` real; an imaginary part
     above 1e-12 max|L| raises ``ValueError``.
     """
-    rows, cols = index % n, index // n
-    mirror = np.searchsorted(index, cols + n * rows)  # position of rho_ji
+    rows, cols, order = index % n, index // n, np.argsort(index)
+    mirror = order[np.searchsorted(index, cols + n * rows, sorter=order)]
     off = np.flatnonzero(rows != cols)
     own = np.arange(index.size)
     basis = sp.csr_matrix(
@@ -400,11 +413,11 @@ def _real_form(index: np.ndarray, block: sp.csr_matrix,
     return basis, inverse, real
 
 
-def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
+def _gmres_solver(pinned: sp.csr_matrix, factor, iterations: list[int]):
     """``solve(rhs, rtol)`` by GMRES preconditioned by ``factor``; appends
     the inner iterations to ``iterations`` and gives up past the budget, or
-    on starting a restart cycle when the last cycle's residual reduction,
-    repeated, would not reach ``rtol`` within it."""
+    on starting a restart cycle when the last cycle's reduction of |M r|,
+    repeated, would not reach GMRES's target rtol |M rhs| within it."""
     preconditioner = LinearOperator(pinned.shape, matvec=factor.solve,
                                     dtype=complex)
 
@@ -418,9 +431,11 @@ def _gmres_solver(pinned: sp.csc_matrix, factor, iterations: list[int]):
             if iterations[-1] > budget:
                 raise _KrylovFailed
             if done % _GMRES_BUDGET == 0 and len(ends) >= 2:
+                target = rtol * float(np.linalg.norm(factor.solve(rhs))
+                                      / np.linalg.norm(rhs))
                 rate = math.log(ends[-1] / ends[-2])
                 if not rate < 0 or (done + _GMRES_BUDGET
-                                    * math.log(rtol / ends[-1]) / rate
+                                    * math.log(target / ends[-1]) / rate
                                     > budget):
                     raise _KrylovFailed
             if iterations[-1] % _GMRES_BUDGET == 0:
@@ -448,10 +463,10 @@ class _SectorSolution:
     odd_bound: float
 
 
-def _factor(block: sp.csc_matrix):
+def _factor(block: sp.spmatrix):
     """SuperLU factor of ``block``, or ``None`` if exactly singular."""
     try:
-        return splu(block, **_LU_OPTIONS)
+        return splu(block.tocsc(), **_LU_OPTIONS)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
         return None
 
@@ -460,70 +475,67 @@ def _factor(block: sp.csc_matrix):
 class _MirrorFactor:
     """LU of one parity sector of the RWA Liouvillian from its k >= 0 blocks.
 
-    That model keeps k, so the sector block is the direct sum of its
-    k-blocks.  Any Lindbladian maps rho^dag to L(rho)^dag, so with mirror(
-    rho_ij) = rho_ji the k < 0 block, in the mirror order of the k > 0
-    positions, is the complex conjugate of the k > 0 block: a solve there
-    is ``conj(plus.solve(conj(b)))``.  One solve is then the k = 0 block's
-    (even sector only; the trace row lies in it) and one two-column solve of
-    the union of the k > 0 blocks.
-    """
+    That model's sector block (:func:`_layout`) is the direct sum of its k = 0
+    part (even sector only; it holds the trace row), its k > 0 part and the
+    mirrors of that, which, as any Lindbladian maps rho^dag to L(rho)^dag, is
+    the conjugate of the second: ``conj(plus.solve(conj(b)))`` solves it."""
 
-    zero: np.ndarray  # sector positions with k = 0
-    plus: np.ndarray  # sector positions with k > 0
-    minus: np.ndarray  # the positions of their mirrors, in the same order
-    zero_lu: object  # SuperLU of the k = 0 block; None in the odd sector
-    plus_lu: object  # SuperLU of the union of the k > 0 blocks
+    zero: int  # size of the k = 0 part
+    zero_lu: object  # SuperLU of the k = 0 part; None in the odd sector
+    plus_lu: object  # SuperLU of the k > 0 part
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         solution = np.empty(rhs.shape, dtype=complex)
         if self.zero_lu is not None:
-            solution[self.zero] = self.zero_lu.solve(rhs[self.zero])
-        pair = self.plus_lu.solve(
-            np.column_stack([rhs[self.plus], rhs[self.minus].conj()]))
-        solution[self.plus] = pair[:, 0]
-        solution[self.minus] = pair[:, 1].conj()
+            solution[:self.zero] = self.zero_lu.solve(rhs[:self.zero])
+        plus, minus = rhs[self.zero:].reshape(2, -1)
+        pair = self.plus_lu.solve(np.column_stack([plus, minus.conj()]))
+        solution[self.zero:] = np.concatenate([pair[:, 0], pair[:, 1].conj()])
         return solution
 
 
-def _mirror_factor(index: np.ndarray, block: sp.csc_matrix,
-                   dims: tuple[int, int]) -> _MirrorFactor | None:
-    """:class:`_MirrorFactor` of the RWA sector ``block`` at the positions
-    ``index`` of vec(rho) (:func:`_pinned_sectors`), or ``None`` if a
-    factored part is exactly singular."""
-    n = dims[0] * dims[1]
-    k = _excitation_difference(dims)[index]
-    zero, plus = np.flatnonzero(k == 0), np.flatnonzero(k > 0)
-    rows, cols = index[plus] % n, index[plus] // n
-    minus = np.searchsorted(index, cols + n * rows)
-    zero_lu = _factor(block[:, zero][zero]) if zero.size else None
-    plus_lu = _factor(block[:, plus][plus])
-    if plus_lu is None or (zero.size and zero_lu is None):
+def _mirror_factor(sector: _Sector) -> _MirrorFactor | None:
+    """:class:`_MirrorFactor` of an RWA ``sector``, or ``None`` if a
+    factored part is exactly singular.  A mirror part that is not the
+    conjugate of the k > 0 part to 1e-12 max|L| raises ``ValueError``."""
+    zero, plus = np.count_nonzero(sector.k == 0), np.count_nonzero(sector.k > 0)
+    block, mirrors = sector.block, slice(zero + plus, None)
+    part = block[zero:zero + plus, zero:zero + plus]
+    mismatch = (block[mirrors, mirrors] - part.conj()).data
+    if np.abs(mismatch).max(initial=0.0) > 1e-12 * np.abs(block.data).max():
+        raise ValueError("the Liouvillian does not preserve Hermiticity: its "
+                         "k < 0 blocks are not the conjugates of their mirrors")
+    zero_lu = _factor(block[:zero, :zero]) if zero else None
+    plus_lu = _factor(part)
+    if plus_lu is None or (zero and zero_lu is None):
         return None
-    return _MirrorFactor(zero=zero, plus=plus, minus=minus, zero_lu=zero_lu,
-                         plus_lu=plus_lu)
+    return _MirrorFactor(zero=zero, zero_lu=zero_lu, plus_lu=plus_lu)
 
 
-def _sector_solve(full: bool, factor, block: sp.csc_matrix,
+def _sector_solve(full: bool, factor, sector: _Sector,
                   iterations: list[int], job):
-    """Route and ``job(solve)`` on one sector block: GMRES preconditioned by
-    the RWA ``factor`` of that sector ("krylov") for the full model, falling
-    back to the block's own LU ("lu-fallback"); the RWA model uses ``factor``
-    itself ("lu").  ``factor`` is ``None`` if singular."""
+    """Route and ``job(solve)`` on one sector: GMRES preconditioned by its RWA
+    ``factor`` (``None`` if singular) for the full model ("krylov"), else the
+    block's own LU ("lu-fallback"); the RWA model uses ``factor`` ("lu")."""
     if full and factor is not None:
         try:
-            return "krylov", job(_gmres_solver(block, factor, iterations))
+            return "krylov", job(_gmres_solver(sector.block, factor,
+                                               iterations))
         except _KrylovFailed:
             pass
-    route, factor = ("lu-fallback", _factor(block)) if full else ("lu", factor)
+    order = back = slice(None)
+    if full:  # in vec(rho) order, which SuperLU factors 1.5-2 times faster
+        order = np.argsort(sector.index)
+        factor, back = _factor(sector.block[order][:, order]), np.argsort(order)
     if factor is None:
         raise DegenerateSteadyStateError(
             "stationary subspace is degenerate: the trace-pinned Liouvillian "
             "is exactly singular")
-    return route, job(lambda rhs, *_: factor.solve(rhs))
+    route = "lu-fallback" if full else "lu"
+    return route, job(lambda rhs, *_: factor.solve(rhs[order])[back])
 
 
-def _dixon_bound(spec: SystemSpec, block: sp.csc_matrix, solve,
+def _dixon_bound(spec: SystemSpec, block: sp.csr_matrix, solve,
                  sector: str) -> float:
     """Lower bound on sigma_min(``block``) from one seeded solve (see
     :func:`steady_state`), tested by :func:`_check_bound`."""
@@ -531,8 +543,8 @@ def _dixon_bound(spec: SystemSpec, block: sp.csc_matrix, solve,
         2 * block.shape[0]).view(complex)
     if sector == "even":
         v[0] = 0.0  # the trace row's entry
-    x = solve(v, _BOUND_SOLVE_RTOL, 10 * _GMRES_BUDGET)
     theta = math.sqrt(1e-6 / v.size)  # 1e-6: the failure probability
+    x = solve(v, theta / 1000, 10 * _GMRES_BUDGET)
     bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
         v - block @ x)) / np.linalg.norm(x))
     _check_bound(spec, bound, f"{sector}-sector singular value")
@@ -541,20 +553,19 @@ def _dixon_bound(spec: SystemSpec, block: sp.csc_matrix, solve,
 
 def _solve_sectors(generator: FockGenerator, sectors: list,
                    factors: list) -> _SectorSolution:
-    """The even sector's state and both sectors' bounds (see
-    :func:`steady_state`) on the pinned ``sectors``, with the RWA model's
-    sector ``factors``."""
+    """The even sector's state and both bounds (:func:`steady_state`) on the
+    pinned ``sectors`` (:func:`_split`), with the RWA model's ``factors``."""
     full, spec = generator.config.include_counter_rotating, generator.spec
-    (even, even_block), (_, odd_block) = sectors
+    even, odd = sectors
     iterations: list[int] = []
     route, (vector, even_bound) = _sector_solve(
-        full, factors[0], even_block, iterations, lambda solve: (
-            solve(np.eye(1, even.size, dtype=complex)[0], _GMRES_RTOL),
-            _dixon_bound(spec, even_block, solve, "even")))
+        full, factors[0], even, iterations, lambda solve: (
+            solve(np.eye(1, even.index.size, dtype=complex)[0], _GMRES_RTOL),
+            _dixon_bound(spec, even.block, solve, "even")))
     _, odd_bound = _sector_solve(
-        full, factors[1], odd_block, iterations,
-        lambda solve: _dixon_bound(spec, odd_block, solve, "odd"))
-    return _SectorSolution(route=route, even=even, vector=vector,
+        full, factors[1], odd, iterations,
+        lambda solve: _dixon_bound(spec, odd.block, solve, "odd"))
+    return _SectorSolution(route=route, even=even.index, vector=vector,
                            iterations=sum(iterations),
                            even_bound=even_bound, odd_bound=odd_bound)
 
@@ -562,43 +573,40 @@ def _solve_sectors(generator: FockGenerator, sectors: list,
 def steady_state(generator: FockGenerator) -> DensityState:
     """Stationary density matrix of the Liouvillian ``L``.
 
-    The state lies in the even-k block of ``L`` (:func:`_sectors`): ``A x =
+    The state lies in the even-k block of ``L`` (:func:`_split`): ``A x =
     e_0`` (that block, row 0 omega_a times the trace) is solved by GMRES
-    preconditioned by the LU of the same block of the RWA part of ``L`` (P.
-    D. Nation, arXiv:1504.06768), exact without a pair-creation term, else by
-    the LU of ``A``.  Of the RWA block only the k >= 0 part is factored; its
-    k < 0 blocks are the complex conjugates of their mirrors
-    (:class:`_MirrorFactor`).  The RWA model solves its sectors once, beside
-    its factors (``steady_state(g.rwa)`` reuses that).  Each sector then takes
-    one more solve: ``x = B^-1 v`` for its block ``B`` (``A``, or the odd block
-    ``L_oo``) of size m and a seeded complex Gaussian ``v`` (its trace entry
-    zero for ``A``) bounds sigma_min(B) >= (theta |v| - |v - B x|) / |x| but
-    for a chance below m theta^2 = 1e-6 (J. D. Dixon, SIAM J. Numer. Anal. 20,
-    812 (1983)).  The zero trace entry keeps that chance wherever sigma_min(A)
-    is small against omega_a: the direction ``A^-1`` stretches most is then
-    nearly traceless, since ``A^-1 e_0`` is rho / omega_a, of norm at most
-    1 / omega_a.  A bound under 1e-7 of the slowest dissipation rate, or a
-    singular LU, raises :class:`DegenerateSteadyStateError`; a returned state
-    certifies sigma_min(A) and sigma_min(L_oo) each at least 1e-7 of that
-    rate, each but for a chance below 1e-6.  No eigensolver runs.  The state
-    must meet ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the
-    tail check; route, iterations, residual, sectors and both bounds go to
-    DEBUG.
+    preconditioned by the LU of the RWA model's even block (P. D. Nation,
+    arXiv:1504.06768), exact without a pair-creation term, else by the LU of
+    ``A``.  The RWA blocks are the full ones' k-keeping entries, factored in
+    their k >= 0 parts only (:class:`_MirrorFactor`), and solved once beside
+    their factors (``steady_state(g.rwa)`` reuses that).  Each sector's
+    block ``B`` (``A`` or ``L_oo``) of size m takes one more solve: ``x = B^-1
+    v`` for a seeded complex Gaussian ``v`` (its trace entry zero for ``A``:
+    ``A^-1 e_0`` = rho / omega_a is short, so where sigma_min(A) is small the
+    direction ``A^-1`` stretches most is nearly traceless) bounds sigma_min(B)
+    >= (theta |v| - |v - B x|) / |x| but for a chance below m theta^2 = 1e-6
+    (J. D. Dixon, SIAM J. Numer. Anal. 20, 812 (1983)).  A bound under 1e-7
+    of the slowest dissipation rate, or a singular LU, raises
+    :class:`DegenerateSteadyStateError`: a returned state certifies
+    sigma_min(A) and sigma_min(L_oo) each at least 1e-7 of that rate, each
+    but for a chance below 1e-6.  No eigensolver runs.  The state must meet
+    ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
+    check; route, iterations, residual, sectors and bounds go to DEBUG.
     """
     config = generator.config
     if config.include_counter_rotating:
-        factors, _ = generator.rwa._exact_solve
-        solution = _solve_sectors(generator, _pinned_sectors(generator),
-                                  factors)
+        sectors = _split(generator)
+        factors, _ = generator.rwa._exact_solve(sectors)
+        solution = _solve_sectors(generator, sectors, factors)
     else:
-        _, solution = generator._exact_solve
+        _, solution = generator._exact_solve()
         if isinstance(solution, str):
             raise DegenerateSteadyStateError(solution)
     n = config.dims[0] * config.dims[1]
     rho = np.zeros(n * n, dtype=complex)
     rho[solution.even] = solution.vector
-    rho = _hermitize(_unvec(rho, n))
-    rho = rho / rho.trace().real
+    rho = _unvec(rho, n)
+    rho = (rho + rho.conj().T) / (2 * rho.trace().real)
     tolerance = RESIDUAL_TOL * np.abs(generator.matrix.data).max()
     resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
                                 compute_uv=False).sum())
@@ -665,23 +673,14 @@ def evolve(generator: FockGenerator, initial: DensityState, duration: float,
            num_points: int = 100) -> FockTrajectory:
     """``expm(L t) rho0`` at ``num_points`` uniform times in [0, duration] s.
 
-    ``L`` is the direct sum of its parity blocks (:func:`_sectors`), so each
-    block with a nonzero part of ``rho0`` is exponentiated on that part alone
-    by :func:`_taylor_steps`, Al-Mohy and Higham's truncated Taylor method
-    (SIAM J. Sci. Comput. 33, 488 (2011)) with its substep count and degree
-    cap fixed once for the output step; the other block stays exactly zero.  A
-    diagonal ``rho0`` is all even.  Each block is propagated as the real
-    matrix of :func:`_real_form` on the real coordinates of ``rho0``'s
-    Hermitian part, about half the work of the complex block, so every
-    snapshot is Hermitian by construction; a block that does not preserve
-    Hermiticity raises ``ValueError``.  The stationary route stays complex:
-    the real basis pairs k with -k, which merges the RWA's k-blocks and
-    multiplies LU fill 4-8 times.  The initial state must fit the truncation.
-    Trace conservation is verified to 1e-8 before snapshots are renormalised;
-    a larger drift raises.  Sector sizes, the sectors evolved, their substeps
-    per output step and the matrix-vector products in all go to DEBUG.  At the
-    CLI's scaled point, (14, 7), 50 points over 5/kappa0, that is 6,596
-    products, where ``expm_multiply`` takes about 7,280.
+    Only the parity blocks (:func:`_split`) where ``rho0`` has a nonzero
+    part are built (a diagonal ``rho0`` is all even), each run on that part
+    by :func:`_taylor_steps` as the real matrix of :func:`_real_form`: about
+    half the work of the complex block, and every snapshot is Hermitian by
+    construction.  A block that does not preserve Hermiticity raises
+    ``ValueError``.  ``rho0`` must fit the truncation, and the trace hold to
+    1e-8 before snapshots are renormalised.  Sector sizes, sectors evolved,
+    substeps per output step and matrix-vector products go to DEBUG.
     """
     if num_points < 2:
         raise ValueError("num_points must be at least 2")
@@ -699,24 +698,25 @@ def evolve(generator: FockGenerator, initial: DensityState, duration: float,
     n = initial.matrix.shape[0]
     times, dt = np.linspace(0.0, duration, num_points, retstep=True)
     start = _vec(initial.matrix)
-    sectors = _sectors(generator)
-    parts, substeps, matvecs = {}, [], 0
-    for name, (index, block) in zip(("even", "odd"), sectors):
-        if not np.any(start[index]):
-            continue
-        basis, inverse, real = _real_form(index, block, n)
+    layout = _layout(initial.dims)[2]
+    parities = tuple(odd for odd, (index, _) in enumerate(layout)
+                     if np.any(start[index]))
+    parts, substeps, matvecs = [], [], 0
+    for sector in _split(generator, parities, pinned=False):
+        basis, inverse, real = _real_form(sector.index, sector.block, n)
         snapshots, steps, products = _taylor_steps(
-            real, (inverse @ start[index]).real, dt, num_points)
-        parts[name] = (index, basis, snapshots)
+            real, (inverse @ start[sector.index]).real, dt, num_points)
+        parts.append((sector.index, basis, snapshots))
         substeps.append(str(steps))
         matvecs += products
     logger.debug("evolve: sectors=%d/%d evolved=%s substeps=%s matvecs=%d",
-                 sectors[0][0].size, sectors[1][0].size, ",".join(parts),
+                 layout[0][0].size, layout[1][0].size,
+                 ",".join(("even", "odd")[odd] for odd in parities),
                  ",".join(substeps), matvecs)
     states = []
     for k in range(num_points):
         vector = np.zeros(n * n, dtype=complex)
-        for index, basis, snapshots in parts.values():
+        for index, basis, snapshots in parts:
             vector[index] = basis @ snapshots[k]
         rho = _unvec(vector, n)
         trace = rho.trace().real

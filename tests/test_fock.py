@@ -132,6 +132,12 @@ def parity_sectors(dims):
     return np.flatnonzero(k % 2 == 0), np.flatnonzero(k % 2 == 1)
 
 
+def mirror_pair(position, dims):
+    """The position in vec(rho) of |i><j| and of its mirror |j><i|."""
+    n = dims[0] * dims[1]
+    return position, position // n + n * (position % n)
+
+
 def pinned_direct_solve(generator):
     """Stationary density matrix from one sparse LU solve, independent of fock.
 
@@ -232,24 +238,64 @@ def test_stalled_odd_solve_stops_after_two_cycles(g, converges, scaled, caplog):
     assert float(fields["odd_bound"]) > 0
 
 
+@pytest.mark.parametrize("power", [-20, 20])
+def test_stalled_odd_solve_stops_alike_in_any_unit(power, scaled, caplog):
+    # GMRES reports the preconditioned residual |M r| / |rhs|, which carries
+    # the unit of M; the early stop projects it to GMRES's own target rtol
+    # |M rhs| / |rhs|, so the g = 0.3 stall above stops after two cycles in
+    # every unit, not only where omega_a is near 1.
+    config = OracleConfig(dims=(10, 6), tail_threshold=1e-4)
+    stalled = replace(scaled, g=0.3)
+
+    def solve(scale):
+        spec = replace(stalled, **{
+            name: getattr(stalled, name) * scale
+            for name in ("omega_a", "delta", "g", "gamma0", "kappa0")})
+        _, fields = logged_solve(caplog, build_generator(spec, config))
+        return fields["route"], fields["gmres_iterations"]
+
+    assert solve(2.0 ** power) == solve(1.0) == ("lu-fallback", "92")
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-13])
 @pytest.mark.parametrize("g, counter_rotating", [
     (0.02, True), (0.2, True), (0.2, False)])
 def test_traceless_odd_kernel_is_degenerate(g, counter_rotating, scale):
     # A zero column makes its basis element |i><j| (k odd) stationary, a
-    # tiny one nearly so.  The even sector, where the state and the gap
-    # come from, is untouched: only the odd-sector solve can see it.
+    # tiny one nearly so; its mirror |j><i| is scaled alike, so that L still
+    # preserves Hermiticity.  The even sector, where the state comes from,
+    # is untouched: only the odd-sector solve can see it.
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
                       kappa0=0.3, n_a0=0.05, n_b0=0.0)
     config = OracleConfig(dims=(6, 4), include_counter_rotating=counter_rotating,
                           tail_threshold=1e-4)
     matrix = build_generator(spec, config).matrix.tolil()
-    column = parity_sectors(config.dims)[1][3]
-    matrix[:, column] = scale * matrix[:, column]
+    for column in mirror_pair(parity_sectors(config.dims)[1][3], config.dims):
+        matrix[:, column] = scale * matrix[:, column]
     generator = fock.FockGenerator(spec=spec, config=config,
                                    matrix=matrix.tocsr())
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(generator)
+
+
+@pytest.mark.parametrize("counter_rotating", [True, False])
+def test_generator_that_breaks_hermiticity_is_rejected(counter_rotating):
+    # L(rho^dag) = L(rho)^dag makes the RWA model's k < 0 blocks the
+    # conjugates of their mirrors, and its factor solves them so.  Neither
+    # i L nor L with one coherence column scaled keeps that.
+    config = OracleConfig(dims=(6, 4), include_counter_rotating=counter_rotating,
+                          tail_threshold=1e-4)
+    matrix = build_generator(SECTOR_SPEC, config).matrix
+    scaled = matrix.tolil()
+    column = parity_sectors(config.dims)[1][3]
+    scaled[:, column] = 1e-13 * scaled[:, column]
+    for broken in (1j * matrix, scaled):
+        generator = fock.FockGenerator(spec=SECTOR_SPEC, config=config,
+                                       matrix=broken.tocsr())
+        for model in (generator, generator.rwa):
+            with pytest.raises(ValueError,
+                               match="does not preserve Hermiticity"):
+                steady_state(model)
 
 
 def test_generators_are_freed_without_the_cycle_collector():
@@ -305,42 +351,96 @@ def test_liouvillian_changes_k_by_zero_or_two(dims, rates, counter_rotating):
     assert np.array_equal(generator.rwa.matrix.toarray(), full)
 
 
-def mirrored_positions(index, dims):
-    """Positions in ``index`` of its k > 0 elements |i><j|, and of their
-    mirrors |j><i| in the same order."""
+def layout_parts(sector, dims):
+    """Sizes of the k = 0 and k > 0 parts of a sector of ``fock._split``,
+    after checking its order: k = 0, k > 0, then the mirrors of the k > 0
+    part in the same order."""
+    zero, plus = np.count_nonzero(sector.k == 0), np.count_nonzero(sector.k > 0)
+    assert np.array_equal(sector.k, excitation_difference(dims)[sector.index])
+    assert np.all(sector.k[:zero] == 0) and np.all(sector.k[zero:zero + plus] > 0)
+    assert sector.index.size == zero + 2 * plus
+    assert np.array_equal(sector.index[zero + plus:], mirror_pair(
+        sector.index[zero:zero + plus], dims)[1])
+    return zero, plus
+
+
+def spec_from(rates, blue):
+    omega_a, delta, g, gamma0, kappa0, n_a0, n_b0 = rates
+    return SystemSpec(omega_a=omega_a + 0.1, delta=delta if blue else -delta,
+                      g=g, gamma0=gamma0, kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
+
+
+RATES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=7,
+                 max_size=7)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dims=st.tuples(st.integers(2, 5), st.integers(2, 4)), rates=RATES,
+       blue=st.booleans(), counter_rotating=st.booleans())
+@example(dims=(4, 3), rates=[1.0, 0.5, 0.3, 0.0, 0.2, 0.4, 0.6], blue=True,
+         counter_rotating=True)
+def test_split_blocks_are_the_sector_blocks_of_the_matrix(
+        dims, rates, blue, counter_rotating):
+    # Each block of the split is matrix[index][:, index] exactly, row 0 of
+    # the even block pinned to omega_a times the trace; L(rho^dag) =
+    # L(rho)^dag makes its mirror part the exact conjugate of its k > 0 part.
+    spec = spec_from(rates, blue)
+    generator = build_generator(spec, OracleConfig(
+        dims=dims, include_counter_rotating=counter_rotating))
     n = dims[0] * dims[1]
-    position = {int(p): s for s, p in enumerate(index)}
-    k = excitation_difference(dims)
-    plus = [s for s, p in enumerate(index) if k[p] > 0]
-    minus = [position[int(index[s] // n + n * (index[s] % n))] for s in plus]
-    return np.array(plus), np.array(minus)
+    for pinned in (True, False):
+        sectors = fock._split(generator, pinned=pinned)
+        assert [s.k.size for s in sectors] == [p.size
+                                               for p in parity_sectors(dims)]
+        for odd, sector in enumerate(sectors):
+            expected = generator.matrix[sector.index][:, sector.index].toarray()
+            if pinned and not odd:
+                assert sector.index[0] == 0
+                expected[0] = spec.omega_a * np.isin(sector.index,
+                                                     np.arange(n) * (n + 1))
+            block = sector.block.toarray()
+            assert np.array_equal(block, expected)
+            zero, plus = layout_parts(sector, dims)
+            positive = slice(zero, zero + plus)
+            mirrors = slice(zero + plus, None)
+            assert np.array_equal(block[mirrors, mirrors],
+                                  block[positive, positive].conj())
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(dims=st.tuples(st.integers(2, 5), st.integers(2, 4)),
-       rates=st.lists(st.floats(0.0, 2.0), min_size=7, max_size=7),
+@given(dims=st.tuples(st.integers(2, 5), st.integers(2, 4)), rates=RATES,
        blue=st.booleans(), counter_rotating=st.booleans())
 @example(dims=(4, 3), rates=[1.0, 0.5, 0.3, 0.0, 0.2, 0.4, 0.6], blue=True,
          counter_rotating=True)
 def test_rwa_k_negative_blocks_mirror_the_k_positive_ones(
         dims, rates, blue, counter_rotating):
     # L(rho^dag) = L(rho)^dag and a kept k make every pinned sector block of
-    # the RWA model, on the mirrors of its k > 0 positions, the exact
-    # conjugate of its k > 0 block; the sector factor relies on that.
-    omega_a, delta, g, gamma0, kappa0, n_a0, n_b0 = rates
-    spec = SystemSpec(omega_a=omega_a + 0.1, delta=delta if blue else -delta,
-                      g=g, gamma0=gamma0, kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
-    generator = build_generator(spec, OracleConfig(
-        dims=dims, include_counter_rotating=counter_rotating)).rwa
-    for index, block in fock._pinned_sectors(generator):
-        plus, minus = mirrored_positions(index, dims)
-        dense = block.toarray()
-        assert np.array_equal(dense[np.ix_(minus, minus)],
-                              dense[np.ix_(plus, plus)].conj())
-        factor = fock._mirror_factor(index, block, dims)
+    # the RWA model the direct sum of its k = 0 part, its k > 0 part and
+    # their mirrors, the last the exact conjugate of the second; the sector
+    # factor takes the first two as they lie.  The RWA blocks cut from the
+    # full model's split are those of the RWA model's own split.
+    generator = build_generator(spec_from(rates, blue), OracleConfig(
+        dims=dims, include_counter_rotating=counter_rotating))
+    own = fock._split(generator.rwa)
+    for cut, sector in zip([s.exchange_part() for s in fock._split(generator)],
+                           own, strict=True):
+        assert np.array_equal(cut.index, sector.index)
+        assert np.array_equal(cut.block.toarray(), sector.block.toarray())
+        zero, plus = layout_parts(sector, dims)
+        block = sector.block.toarray()
+        parts = [slice(0, zero), slice(zero, zero + plus),
+                 slice(zero + plus, None)]
+        for row in parts:
+            for column in parts:
+                if row != column:
+                    assert not np.any(block[row, column])
+        assert np.array_equal(block[parts[2], parts[2]],
+                              block[parts[1], parts[1]].conj())
+        factor = fock._mirror_factor(sector)
         if factor is not None:
-            assert np.array_equal(factor.plus, plus)
-            assert np.array_equal(factor.minus, minus)
+            assert factor.zero == zero
+            assert (factor.zero_lu is None) == (zero == 0)
+            assert factor.plus_lu.shape == (plus, plus)
 
 
 @pytest.mark.parametrize("spec, dims", [
@@ -352,19 +452,20 @@ def test_rwa_k_negative_blocks_mirror_the_k_positive_ones(
 def test_mirror_factor_solves_as_the_whole_sector_lu(spec, dims):
     generator = build_generator(spec, OracleConfig(dims=dims)).rwa
     rng = np.random.default_rng(3)
-    for index, block in fock._pinned_sectors(generator):
-        rhs = rng.standard_normal(2 * index.size).view(complex)
-        expected = splu(block).solve(rhs)
-        solution = fock._mirror_factor(index, block, dims).solve(rhs)
+    for sector in fock._split(generator):
+        rhs = rng.standard_normal(2 * sector.index.size).view(complex)
+        expected = splu(sector.block.tocsc()).solve(rhs)
+        solution = fock._mirror_factor(sector).solve(rhs)
         assert (np.linalg.norm(solution - expected)
                 <= 1e-12 * np.linalg.norm(expected))
 
 
-@pytest.mark.parametrize("spec, iterations", [(SCALED_BASE, 34),
-                                              (FIGURE_BASE, 86)])
+@pytest.mark.parametrize("spec, iterations", [(SCALED_BASE, 30),
+                                              (FIGURE_BASE, 72)])
 def test_mirror_factor_preconditions_as_the_whole_sector_lu(
         spec, iterations, caplog):
-    # The iteration totals of the whole-sector RWA LUs at (14, 7).
+    # The iteration totals of the whole-sector RWA LUs at (14, 7), with each
+    # bound solve stopped at theta |v| / 1000 (34 and 86 at 1e-10 |v|).
     _, fields = logged_solve(
         caplog, build_generator(spec, OracleConfig(dims=(14, 7))))
     assert fields["route"] == "krylov"
@@ -455,21 +556,27 @@ def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
 
 
 def test_degenerate_rwa_model_starts_arnoldi_from_ones(monkeypatch):
-    # A nearly zero odd column leaves the RWA model's LUs regular but its
-    # stationary subspace degenerate; the full model still solves on them.
+    # A nearly zero odd column, and its mirror, leave the RWA model's LUs
+    # regular but its stationary subspace degenerate; the full model still
+    # solves on them.
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.02, gamma0=0.05,
                       kappa0=0.3, n_a0=0.05, n_b0=0.0)
     config = OracleConfig(dims=(6, 4), tail_threshold=1e-4)
     generator = build_generator(spec, config)
-    column = parity_sectors(config.dims)[1][3]  # |1,2><0,0|, k = 3
-    exchange_part = fock._exchange_part
+    # |1,2><0,0|, k = 3, and |0,0><1,2|
+    columns = mirror_pair(parity_sectors(config.dims)[1][3], config.dims)
+    exchange_part = fock._Sector.exchange_part
 
-    def degenerate_rwa_part(matrix, dims):
-        matrix = exchange_part(matrix, dims).tolil()
-        matrix[:, column] = 1e-13 * matrix[:, column]
-        return matrix.tocsr()
+    def degenerate_exchange_part(sector):
+        sector = exchange_part(sector)
+        local = np.flatnonzero(np.isin(sector.index, columns))
+        if not local.size:
+            return sector
+        block = sector.block.tolil()
+        block[:, local] = 1e-13 * block[:, local]
+        return replace(sector, block=block.tocsr())
 
-    monkeypatch.setattr(fock, "_exchange_part", degenerate_rwa_part)
+    monkeypatch.setattr(fock._Sector, "exchange_part", degenerate_exchange_part)
     for _ in range(2):  # the stored outcome raises again
         with pytest.raises(DegenerateSteadyStateError, match="odd-sector"):
             steady_state(generator.rwa)
@@ -652,6 +759,24 @@ def test_evolve_log_is_silent_by_default(mixed, evolved, caplog):
     assert all(int(s) >= 1 for s in substeps)
     assert int(fields.pop("matvecs")) >= 2 * len(substeps)
     assert fields == {"sectors": f"{even.size}/{odd.size}", "evolved": evolved}
+
+
+@pytest.mark.parametrize("mixed, built", [(False, [(0, False)]),
+                                           (True, [(0, False), (1, False)])])
+def test_evolve_builds_only_the_blocks_it_propagates(mixed, built,
+                                                     monkeypatch):
+    generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
+    initial = (mixed_parity_state(SECTOR_CONFIG.dims) if mixed
+               else thermal_density(SECTOR_CONFIG.dims, 0.1, 0.0))
+    blocks, split = [], fock._split
+
+    def recorded_split(generator, parities=(0, 1), pinned=True):
+        blocks.extend((parity, pinned) for parity in parities)
+        return split(generator, parities, pinned)
+
+    monkeypatch.setattr(fock, "_split", recorded_split)
+    evolve(generator, initial, duration=1.0, num_points=3)
+    assert blocks == built
 
 
 def assert_matches_expm_multiply(generator, initial, trajectory, rtol=1e-12):

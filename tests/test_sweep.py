@@ -629,22 +629,30 @@ def test_compare_solves_the_paper_system_in_hz(caplog):
 
 
 def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
-    builds, factors = [], []
-    liouvillian, splu = fock._liouvillian, fock.splu
+    builds, splits, factored = [], [], []
+    liouvillian, split, splu = fock._liouvillian, fock._split, fock.splu
 
     def counted_liouvillian(spec, dims):
         builds.append(dims)
         return liouvillian(spec, dims)
 
+    def counted_split(generator, *args, **kwargs):
+        splits.append(generator.config.include_counter_rotating)
+        return split(generator, *args, **kwargs)
+
     def counted_splu(matrix, **kwargs):
-        factors.append(matrix.shape)
+        factored.append(matrix.toarray())
         return splu(matrix, **kwargs)
 
     monkeypatch.setattr(fock, "_liouvillian", counted_liouvillian)
+    monkeypatch.setattr(fock, "_split", counted_split)
     monkeypatch.setattr(fock, "splu", counted_splu)
-    report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
-    # One assembly: the RWA model is the full one's k-keeping part.
+    config = fock.OracleConfig(dims=(8, 4))
+    report = compare(scaled, config)
+    # One assembly and one split: the RWA model is the full one's k-keeping
+    # part, and so are its sector blocks.
     assert builds == [(8, 4)]
+    assert splits == [True]
     # The RWA model's factors, also the full model's preconditioners: the
     # k = 0 block of the even sector, then the union of the k > 0 blocks of
     # each sector; the k < 0 blocks are their conjugate mirrors.
@@ -653,17 +661,27 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     sizes = [np.count_nonzero(k == 0),
              np.count_nonzero((k > 0) & (k % 2 == 0)),
              np.count_nonzero((k > 0) & (k % 2 == 1))]
-    assert factors == [(size, size) for size in sizes]
+    assert [f.shape for f in factored] == [(size, size) for size in sizes]
     assert sum(sizes) <= 0.6 * 2 * 512  # the two whole sector blocks
+    # Each sector is laid out [k = 0 | k > 0 | mirrors], so those are its
+    # leading principal blocks, factored as they lie.
+    even, odd = [sector.exchange_part() for sector
+                 in split(fock.build_generator(scaled, config))]
+    zero, plus = sizes[0], sizes[0] + sizes[1]
+    expected = [even.block[:zero, :zero], even.block[zero:plus, zero:plus],
+                odd.block[:sizes[2], :sizes[2]]]
+    for matrix, block in zip(factored, expected, strict=True):
+        assert np.array_equal(matrix, block.toarray())
     assert report.backaction_gap > 0
 
 
 def test_compare_solves_each_right_hand_side_once(scaled, monkeypatch):
-    # No eigensolver loop: each model's sectors are split once, its even
-    # sector solves the state and its bound, and its odd sector the bound.
-    # The RWA model's own steady state reuses its solves.
+    # No eigensolver loop: the full model's sectors are split once and the
+    # RWA model's blocks cut from them; each model's even sector solves the
+    # state and its bound, and its odd sector the bound.  The RWA model's
+    # own steady state reuses its solves.
     solves, splits = [], []
-    sector_solve, pinned_sectors = fock._sector_solve, fock._pinned_sectors
+    sector_solve, split = fock._sector_solve, fock._split
 
     def counted_sector_solve(full, factor, block, iterations, job):
         solves.append([full, 0])
@@ -676,15 +694,15 @@ def test_compare_solves_each_right_hand_side_once(scaled, monkeypatch):
 
         return sector_solve(full, factor, block, iterations, counted_job)
 
-    def counted_pinned_sectors(generator):
+    def counted_split(generator, *args, **kwargs):
         splits.append(generator.config.include_counter_rotating)
-        return pinned_sectors(generator)
+        return split(generator, *args, **kwargs)
 
     monkeypatch.setattr(fock, "_sector_solve", counted_sector_solve)
-    monkeypatch.setattr(fock, "_pinned_sectors", counted_pinned_sectors)
+    monkeypatch.setattr(fock, "_split", counted_split)
     compare(scaled, fock.OracleConfig(dims=(8, 4)))
     assert solves == [[False, 2], [False, 1], [True, 2], [True, 1]]
-    assert sorted(splits) == [False, True]
+    assert splits == [True]
 
 
 def test_compare_reads_the_oracle_pair_as_the_table_oracle_does(scaled):
