@@ -8,9 +8,10 @@ index arithmetic; its entries that keep k = N(i) - N(j) of |i><j| form the
 exchange-only (RWA) model.  The module verifies the Gaussian solver and the
 closed forms by a completely independent route.  ``L`` is the direct sum of
 its even-k and odd-k blocks, each laid out as [k = 0 | k > 0 | mirrors of k >
-0].  Stationary states come from GMRES in the even block preconditioned by
-the RWA model's LU, factored in its k >= 0 parts only (the k < 0 parts are
-their conjugate mirrors); one seeded solve per block certifies uniqueness.
+0].  Each model splits its own ``L``; the RWA model keeps its LU, factored in
+its k >= 0 parts only (the k < 0 parts are their conjugate mirrors), which
+solves its state and preconditions GMRES in the full model's even block; one
+seeded solve per block certifies uniqueness.
 Trajectories are ``expm(L t) rho0``, propagated per block in real arithmetic.
 The stationary route stays complex, as the real basis pairs k with -k and
 merges the RWA k-blocks (LU fill 0.11M to 0.79M in the (14, 7) even block).
@@ -54,6 +55,8 @@ TRACE_DRIFT_TOL = 1e-8
 # |v| / 1000, which lowers the bound by at most 0.1%.
 _GMRES_RTOL = 1e-13
 _GMRES_BUDGET = 30
+# The chance m theta^2 that a Dixon bound passes a block below it.
+_DIXON_CHANCE = 1e-6
 # Minimum degree on A + A^T, diagonal pivots: a third less fill than COLAMD.
 _LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
                "options": {"SymmetricMode": True}}
@@ -149,21 +152,12 @@ class FockGenerator:
         matrix = _exchange_part(self.matrix, _layout(config.dims)[0])
         return FockGenerator(spec=self.spec, config=config, matrix=matrix)
 
-    def _exact_solve(self, split: list[_Sector] | None = None
-                     ) -> tuple[list, _SectorSolution | str]:
-        """Sector factors (:func:`_mirror_factor`) of this model without a
-        pair-creation term, and its sector solution or why it is degenerate,
-        made once from the k-keeping part of ``split`` (the full model's) or
-        else of its own :func:`_split`."""
-        if "_exact" not in self.__dict__:  # stored as a cached_property is
-            sectors = [s.exchange_part() for s in split or _split(self)]
-            factors = [_mirror_factor(sector) for sector in sectors]
-            try:
-                outcome = _solve_sectors(self, sectors, factors)
-            except DegenerateSteadyStateError as error:
-                outcome = str(error)  # no traceback: it would hold self
-            self.__dict__["_exact"] = factors, outcome
-        return self.__dict__["_exact"]
+    @cached_property
+    def _factored(self) -> tuple[list[_Sector], list[_MirrorFactor | None]]:
+        """The pinned sectors (:func:`_split`) of this model, which has no
+        pair-creation term, and their :func:`_mirror_factor`; made once."""
+        sectors = _split(self)
+        return sectors, [_mirror_factor(sector) for sector in sectors]
 
 
 @dataclass(frozen=True)
@@ -192,10 +186,10 @@ def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
 
 
 def _exchange_part(matrix: sp.csr_matrix, k: np.ndarray) -> sp.csr_matrix:
-    """The entries of a CSR Liouvillian, or of a sector block, whose row and
-    column have the same k (:func:`_layout`).  The pair-creation terms a b
-    and a^dag b^dag move k by +-2 and every other term keeps it, so these are
-    exactly the entries of the exchange-only (RWA) model."""
+    """The entries of a CSR Liouvillian whose row and column have the same
+    k (:func:`_layout`).  The pair-creation terms a b and a^dag b^dag move k
+    by +-2 and every other term keeps it, so these are exactly the entries
+    of the exchange-only (RWA) model."""
     keep = np.flatnonzero(np.repeat(k, np.diff(matrix.indptr))
                           == k[matrix.indices])
     return sp.csr_matrix((matrix.data[keep], matrix.indices[keep],
@@ -304,16 +298,6 @@ def _check_positive(state: DensityState) -> None:
             f"density matrix has eigenvalue {floor:.3e} below -{POSITIVITY_TOL}")
 
 
-def _check_bound(spec: SystemSpec, bound: float, what: str) -> None:
-    omega_a, _, _, gamma0, kappa0 = angular_rates(spec)
-    rates = [r for r in (gamma0, kappa0) if r > 0]
-    reference = min(rates) if rates else omega_a
-    if not bound >= 1e-7 * reference:
-        raise DegenerateSteadyStateError(
-            f"stationary subspace is degenerate: {what} bound {bound:.3e} "
-            f"1/s (slowest dissipation scale {reference:.3e} 1/s)")
-
-
 class _KrylovFailed(Exception):
     """A preconditioned solve did not converge within the GMRES budget."""
 
@@ -325,10 +309,6 @@ class _Sector:
     index: np.ndarray  # the position in vec(rho) of each row and column
     k: np.ndarray  # their k
     block: sp.csr_matrix
-
-    def exchange_part(self) -> _Sector:
-        """The block's entries that keep k: the RWA model's block."""
-        return replace(self, block=_exchange_part(self.block, self.k))
 
 
 @lru_cache(maxsize=4)
@@ -451,18 +431,6 @@ def _gmres_solver(pinned: sp.csr_matrix, factor, iterations: list[int]):
     return solve
 
 
-@dataclass(frozen=True)
-class _SectorSolution:
-    """What :func:`steady_state` takes from one model's sector blocks."""
-
-    route: str
-    even: np.ndarray  # the even sector's positions in vec(rho)
-    vector: np.ndarray  # its stationary vector, before normalisation
-    iterations: int  # GMRES iterations of both sectors
-    even_bound: float
-    odd_bound: float
-
-
 def _factor(block: sp.spmatrix):
     """SuperLU factor of ``block``, or ``None`` if exactly singular."""
     try:
@@ -512,15 +480,16 @@ def _mirror_factor(sector: _Sector) -> _MirrorFactor | None:
     return _MirrorFactor(zero=zero, zero_lu=zero_lu, plus_lu=plus_lu)
 
 
-def _sector_solve(full: bool, factor, sector: _Sector,
-                  iterations: list[int], job):
-    """Route and ``job(solve)`` on one sector: GMRES preconditioned by its RWA
-    ``factor`` (``None`` if singular) for the full model ("krylov"), else the
-    block's own LU ("lu-fallback"); the RWA model uses ``factor`` ("lu")."""
+def _sector_solve(full: bool, factor, sector: _Sector, requests: list,
+                  iterations: list[int]) -> tuple[str, list[np.ndarray]]:
+    """Route and ``B^-1 rhs`` for each ``(rhs, rtol[, budget])`` of
+    ``requests`` on one sector: GMRES preconditioned by its RWA ``factor``
+    (``None`` if singular) for the full model ("krylov"), else the block's
+    own LU ("lu-fallback"); the RWA model uses ``factor`` ("lu")."""
     if full and factor is not None:
+        solve = _gmres_solver(sector.block, factor, iterations)
         try:
-            return "krylov", job(_gmres_solver(sector.block, factor,
-                                               iterations))
+            return "krylov", [solve(*request) for request in requests]
         except _KrylovFailed:
             pass
     order = back = slice(None)
@@ -532,42 +501,35 @@ def _sector_solve(full: bool, factor, sector: _Sector,
             "stationary subspace is degenerate: the trace-pinned Liouvillian "
             "is exactly singular")
     route = "lu-fallback" if full else "lu"
-    return route, job(lambda rhs, *_: factor.solve(rhs[order])[back])
+    return route, [factor.solve(rhs[order])[back] for rhs, *_ in requests]
 
 
-def _dixon_bound(spec: SystemSpec, block: sp.csr_matrix, solve,
-                 sector: str) -> float:
-    """Lower bound on sigma_min(``block``) from one seeded solve (see
-    :func:`steady_state`), tested by :func:`_check_bound`."""
-    v = np.random.default_rng(0).standard_normal(
-        2 * block.shape[0]).view(complex)
-    if sector == "even":
+def _dixon_probe(size: int, even: bool) -> tuple[np.ndarray, float, int]:
+    """The seeded request ``(v, theta / 1000, ten budgets)`` of
+    :func:`_dixon_bound` on a sector of ``size``."""
+    v = np.random.default_rng(0).standard_normal(2 * size).view(complex)
+    if even:
         v[0] = 0.0  # the trace row's entry
-    theta = math.sqrt(1e-6 / v.size)  # 1e-6: the failure probability
-    x = solve(v, theta / 1000, 10 * _GMRES_BUDGET)
+    return v, math.sqrt(_DIXON_CHANCE / v.size) / 1000, 10 * _GMRES_BUDGET
+
+
+def _dixon_bound(spec: SystemSpec, block: sp.csr_matrix, v: np.ndarray,
+                 x: np.ndarray, sector: str) -> float:
+    """Lower bound on sigma_min(``block``) from the solve ``x`` of the probe
+    ``v`` (:func:`steady_state`); :class:`DegenerateSteadyStateError` if it
+    is under 1e-7 of the slowest dissipation rate."""
+    theta = math.sqrt(_DIXON_CHANCE / v.size)
     bound = float((theta * np.linalg.norm(v) - np.linalg.norm(
         v - block @ x)) / np.linalg.norm(x))
-    _check_bound(spec, bound, f"{sector}-sector singular value")
+    omega_a, _, _, gamma0, kappa0 = angular_rates(spec)
+    rates = [r for r in (gamma0, kappa0) if r > 0]
+    reference = min(rates) if rates else omega_a
+    if not bound >= 1e-7 * reference:
+        raise DegenerateSteadyStateError(
+            f"stationary subspace is degenerate: {sector}-sector singular "
+            f"value bound {bound:.3e} 1/s (slowest dissipation scale "
+            f"{reference:.3e} 1/s)")
     return bound
-
-
-def _solve_sectors(generator: FockGenerator, sectors: list,
-                   factors: list) -> _SectorSolution:
-    """The even sector's state and both bounds (:func:`steady_state`) on the
-    pinned ``sectors`` (:func:`_split`), with the RWA model's ``factors``."""
-    full, spec = generator.config.include_counter_rotating, generator.spec
-    even, odd = sectors
-    iterations: list[int] = []
-    route, (vector, even_bound) = _sector_solve(
-        full, factors[0], even, iterations, lambda solve: (
-            solve(np.eye(1, even.index.size, dtype=complex)[0], _GMRES_RTOL),
-            _dixon_bound(spec, even.block, solve, "even")))
-    _, odd_bound = _sector_solve(
-        full, factors[1], odd, iterations,
-        lambda solve: _dixon_bound(spec, odd.block, solve, "odd"))
-    return _SectorSolution(route=route, even=even.index, vector=vector,
-                           iterations=sum(iterations),
-                           even_bound=even_bound, odd_bound=odd_bound)
 
 
 def steady_state(generator: FockGenerator) -> DensityState:
@@ -577,11 +539,12 @@ def steady_state(generator: FockGenerator) -> DensityState:
     e_0`` (that block, row 0 omega_a times the trace) is solved by GMRES
     preconditioned by the LU of the RWA model's even block (P. D. Nation,
     arXiv:1504.06768), exact without a pair-creation term, else by the LU of
-    ``A``.  The RWA blocks are the full ones' k-keeping entries, factored in
-    their k >= 0 parts only (:class:`_MirrorFactor`), and solved once beside
-    their factors (``steady_state(g.rwa)`` reuses that).  Each sector's
-    block ``B`` (``A`` or ``L_oo``) of size m takes one more solve: ``x = B^-1
-    v`` for a seeded complex Gaussian ``v`` (its trace entry zero for ``A``:
+    ``A``.  Each model splits its own ``L``; the RWA blocks, the full ones'
+    k-keeping entries, are factored once in their k >= 0 parts only
+    (:class:`_MirrorFactor`) and kept on ``g.rwa``, and each model solves
+    only its own right-hand sides.  Each sector's block ``B`` (``A`` or
+    ``L_oo``) of size m takes one more solve: ``x = B^-1 v`` for a seeded
+    complex Gaussian ``v`` (its trace entry zero for ``A``:
     ``A^-1 e_0`` = rho / omega_a is short, so where sigma_min(A) is small the
     direction ``A^-1`` stretches most is nearly traceless) bounds sigma_min(B)
     >= (theta |v| - |v - B x|) / |x| but for a chance below m theta^2 = 1e-6
@@ -593,28 +556,33 @@ def steady_state(generator: FockGenerator) -> DensityState:
     ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
     check; route, iterations, residual, sectors and bounds go to DEBUG.
     """
-    config = generator.config
-    if config.include_counter_rotating:
-        sectors = _split(generator)
-        factors, _ = generator.rwa._exact_solve(sectors)
-        solution = _solve_sectors(generator, sectors, factors)
+    config, spec = generator.config, generator.spec
+    full = config.include_counter_rotating
+    if full:  # preconditioned by the factors of the RWA model
+        (even, odd), (_, factors) = _split(generator), generator.rwa._factored
     else:
-        _, solution = generator._exact_solve()
-        if isinstance(solution, str):
-            raise DegenerateSteadyStateError(solution)
+        (even, odd), factors = generator._factored
+    iterations: list[int] = []
+    probe = _dixon_probe(even.index.size, even=True)
+    route, (vector, x) = _sector_solve(full, factors[0], even, [
+        (np.eye(1, even.index.size, dtype=complex)[0], _GMRES_RTOL), probe],
+        iterations)
+    even_bound = _dixon_bound(spec, even.block, probe[0], x, "even")
+    probe = _dixon_probe(odd.index.size, even=False)
+    _, (x,) = _sector_solve(full, factors[1], odd, [probe], iterations)
+    odd_bound = _dixon_bound(spec, odd.block, probe[0], x, "odd")
     n = config.dims[0] * config.dims[1]
     rho = np.zeros(n * n, dtype=complex)
-    rho[solution.even] = solution.vector
+    rho[even.index] = vector
     rho = _unvec(rho, n)
     rho = (rho + rho.conj().T) / (2 * rho.trace().real)
     tolerance = RESIDUAL_TOL * np.abs(generator.matrix.data).max()
     resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
                                 compute_uv=False).sum())
     logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "
-                 "sectors=%d/%d even_bound=%s odd_bound=%s", solution.route,
-                 solution.iterations, resid, solution.even.size,
-                 n * n - solution.even.size, solution.even_bound,
-                 solution.odd_bound)
+                 "sectors=%d/%d even_bound=%s odd_bound=%s", route,
+                 sum(iterations), resid, even.index.size, odd.index.size,
+                 even_bound, odd_bound)
     if not resid <= tolerance:
         raise RuntimeError(
             f"stationary residual {resid:.3e} exceeds {tolerance:.3e}")

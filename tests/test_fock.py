@@ -422,10 +422,11 @@ def test_rwa_k_negative_blocks_mirror_the_k_positive_ones(
     generator = build_generator(spec_from(rates, blue), OracleConfig(
         dims=dims, include_counter_rotating=counter_rotating))
     own = fock._split(generator.rwa)
-    for cut, sector in zip([s.exchange_part() for s in fock._split(generator)],
-                           own, strict=True):
+    for cut, sector in zip(fock._split(generator), own, strict=True):
         assert np.array_equal(cut.index, sector.index)
-        assert np.array_equal(cut.block.toarray(), sector.block.toarray())
+        assert np.array_equal(
+            fock._exchange_part(cut.block, cut.k).toarray(),
+            sector.block.toarray())
         zero, plus = layout_parts(sector, dims)
         block = sector.block.toarray()
         parts = [slice(0, zero), slice(zero, zero + plus),
@@ -555,7 +556,8 @@ def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
                          - pinned_direct_solve(generator))) <= 1e-10
 
 
-def test_degenerate_rwa_model_starts_arnoldi_from_ones(monkeypatch):
+def test_degenerate_rwa_model_raises_yet_preconditions_the_full_one(
+        monkeypatch):
     # A nearly zero odd column, and its mirror, leave the RWA model's LUs
     # regular but its stationary subspace degenerate; the full model still
     # solves on them.
@@ -565,19 +567,22 @@ def test_degenerate_rwa_model_starts_arnoldi_from_ones(monkeypatch):
     generator = build_generator(spec, config)
     # |1,2><0,0|, k = 3, and |0,0><1,2|
     columns = mirror_pair(parity_sectors(config.dims)[1][3], config.dims)
-    exchange_part = fock._Sector.exchange_part
+    split = fock._split
 
-    def degenerate_exchange_part(sector):
-        sector = exchange_part(sector)
-        local = np.flatnonzero(np.isin(sector.index, columns))
-        if not local.size:
-            return sector
-        block = sector.block.tolil()
-        block[:, local] = 1e-13 * block[:, local]
-        return replace(sector, block=block.tocsr())
+    def degenerate_split(generator, *args, **kwargs):
+        sectors = split(generator, *args, **kwargs)
+        if generator.config.include_counter_rotating:
+            return sectors
+        for odd, sector in enumerate(sectors):
+            local = np.flatnonzero(np.isin(sector.index, columns))
+            if local.size:
+                block = sector.block.tolil()
+                block[:, local] = 1e-13 * block[:, local]
+                sectors[odd] = replace(sector, block=block.tocsr())
+        return sectors
 
-    monkeypatch.setattr(fock._Sector, "exchange_part", degenerate_exchange_part)
-    for _ in range(2):  # the stored outcome raises again
+    monkeypatch.setattr(fock, "_split", degenerate_split)
+    for _ in range(2):  # each call solves again, and raises again
         with pytest.raises(DegenerateSteadyStateError, match="odd-sector"):
             steady_state(generator.rwa)
     state = steady_state(generator)

@@ -649,10 +649,10 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     monkeypatch.setattr(fock, "splu", counted_splu)
     config = fock.OracleConfig(dims=(8, 4))
     report = compare(scaled, config)
-    # One assembly and one split: the RWA model is the full one's k-keeping
-    # part, and so are its sector blocks.
+    # One assembly, and one split per model: the RWA model is the full one's
+    # k-keeping part, and it splits its own blocks beside its factors.
     assert builds == [(8, 4)]
-    assert splits == [True]
+    assert splits == [True, False]
     # The RWA model's factors, also the full model's preconditioners: the
     # k = 0 block of the even sector, then the union of the k > 0 blocks of
     # each sector; the k < 0 blocks are their conjugate mirrors.
@@ -665,8 +665,7 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     assert sum(sizes) <= 0.6 * 2 * 512  # the two whole sector blocks
     # Each sector is laid out [k = 0 | k > 0 | mirrors], so those are its
     # leading principal blocks, factored as they lie.
-    even, odd = [sector.exchange_part() for sector
-                 in split(fock.build_generator(scaled, config))]
+    even, odd = split(fock.build_generator(scaled, config).rwa)
     zero, plus = sizes[0], sizes[0] + sizes[1]
     expected = [even.block[:zero, :zero], even.block[zero:plus, zero:plus],
                 odd.block[:sizes[2], :sizes[2]]]
@@ -676,33 +675,24 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
 
 
 def test_compare_solves_each_right_hand_side_once(scaled, monkeypatch):
-    # No eigensolver loop: the full model's sectors are split once and the
-    # RWA model's blocks cut from them; each model's even sector solves the
-    # state and its bound, and its odd sector the bound.  The RWA model's
-    # own steady state reuses its solves.
-    solves, splits = [], []
-    sector_solve, split = fock._sector_solve, fock._split
+    # No eigensolver loop: each model's even sector solves the state and its
+    # bound, and its odd sector the bound.  The full model solves none of the
+    # RWA model's right-hand sides, and the oracle column solves only its
+    # own model's.
+    solves = []
+    sector_solve = fock._sector_solve
 
-    def counted_sector_solve(full, factor, block, iterations, job):
-        solves.append([full, 0])
-
-        def counted_job(solve):
-            def counted(*args):
-                solves[-1][1] += 1
-                return solve(*args)
-            return job(counted)
-
-        return sector_solve(full, factor, block, iterations, counted_job)
-
-    def counted_split(generator, *args, **kwargs):
-        splits.append(generator.config.include_counter_rotating)
-        return split(generator, *args, **kwargs)
+    def counted_sector_solve(full, factor, sector, requests, iterations):
+        solves.append([full, len(requests)])
+        return sector_solve(full, factor, sector, requests, iterations)
 
     monkeypatch.setattr(fock, "_sector_solve", counted_sector_solve)
-    monkeypatch.setattr(fock, "_split", counted_split)
-    compare(scaled, fock.OracleConfig(dims=(8, 4)))
-    assert solves == [[False, 2], [False, 1], [True, 2], [True, 1]]
-    assert splits == [True]
+    config = fock.OracleConfig(dims=(8, 4))
+    compare(scaled, config)
+    assert solves == [[True, 2], [True, 1], [False, 2], [False, 1]]
+    solves.clear()
+    sweep.solve_point(scaled, ("oracle",), config, None, scaled.delta)
+    assert solves == [[True, 2], [True, 1]]
 
 
 def test_compare_reads_the_oracle_pair_as_the_table_oracle_does(scaled):
