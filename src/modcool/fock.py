@@ -10,8 +10,9 @@ closed forms by a completely independent route.  ``L`` is the direct sum of
 its even-k and odd-k blocks, each laid out as [k = 0 | k > 0 | mirrors of k >
 0].  Each model splits its own ``L``; the RWA model keeps its LU, factored in
 its k >= 0 parts only (the k < 0 parts are their conjugate mirrors), which
-solves its state and preconditions GMRES in the full model's even block; one
-seeded solve per block certifies uniqueness.
+solves its state and right-preconditions the module's own GMRES in the full
+model's even block, one factor solve per iteration; one seeded solve per
+block certifies uniqueness.
 Trajectories are ``expm(L t) rho0``, propagated per block in real arithmetic.
 The stationary route stays complex, as the real basis pairs k with -k and
 merges the RWA k-blocks (LU fill 0.11M to 0.79M in the (14, 7) even block).
@@ -33,7 +34,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import splu
 
 from .model import SystemSpec, _require_finite, angular_rates
 
@@ -292,10 +294,18 @@ def thermal_density(dims: tuple[int, int], n_a: float,
 
 
 def _check_positive(state: DensityState) -> None:
-    floor = state.eigenvalue_floor()
-    if floor < -POSITIVITY_TOL:
-        raise RuntimeError(
-            f"density matrix has eigenvalue {floor:.3e} below -{POSITIVITY_TOL}")
+    """``RuntimeError`` if ``state`` has an eigenvalue below -POSITIVITY_TOL.
+    A Cholesky factor of rho + POSITIVITY_TOL I proves there is none in a
+    fifth of an eigenvalue solve's time; only where it fails is the floor
+    computed (:meth:`DensityState.eigenvalue_floor`)."""
+    try:
+        np.linalg.cholesky(state.matrix
+                           + POSITIVITY_TOL * np.eye(len(state.matrix)))
+    except np.linalg.LinAlgError:
+        floor = state.eigenvalue_floor()
+        if floor < -POSITIVITY_TOL:
+            raise RuntimeError(f"density matrix has eigenvalue {floor:.3e} "
+                               f"below -{POSITIVITY_TOL}") from None
 
 
 class _KrylovFailed(Exception):
@@ -393,40 +403,74 @@ def _real_form(index: np.ndarray, block: sp.csr_matrix,
     return basis, inverse, real
 
 
-def _gmres_solver(pinned: sp.csr_matrix, factor, iterations: list[int]):
-    """``solve(rhs, rtol)`` by GMRES preconditioned by ``factor``; appends
-    the inner iterations to ``iterations`` and gives up past the budget, or
-    on starting a restart cycle when the last cycle's reduction of |M r|,
-    repeated, would not reach GMRES's target rtol |M rhs| within it."""
-    preconditioner = LinearOperator(pinned.shape, matvec=factor.solve,
-                                    dtype=complex)
+def _gmres_solver(block: sp.csr_matrix, factor, iterations: list[int]):
+    """``solve(rhs, rtol[, budget])`` of ``block x = rhs`` by restarted GMRES
+    right-preconditioned by ``factor`` (Y. Saad and M. H. Schultz, SIAM J.
+    Sci. Stat. Comput. 7, 856 (1986)), restarted every 30 iterations.
+
+    It keeps ``Z_j = M^-1 v_j`` beside the Arnoldi basis ``v_j``, so each
+    iteration makes one ``factor.solve`` and ``x = Z y`` needs none, and it
+    orthogonalises by two block classical Gram-Schmidt passes.  A cycle ends
+    when its Givens estimate of |rhs - B x| meets rtol |rhs|, or after 30
+    iterations; the solve returns once the true residual, computed there,
+    does.  Each iteration adds one to ``iterations[-1]``.  It raises
+    :class:`_KrylovFailed` at ``budget`` iterations, or on starting a cycle
+    when the last cycle's reduction of the residual, repeated, would not
+    reach rtol |rhs| within the budget: the residual is in the unit of rhs,
+    so that stop is the same in any frequency unit."""
+    m, size = _GMRES_BUDGET, block.shape[0]
+    v = np.empty((m + 1, size), dtype=complex)  # the Arnoldi basis
+    z = np.empty((m, size), dtype=complex)  # M^-1 of each v_j
 
     def solve(rhs: np.ndarray, rtol: float, budget: int = _GMRES_BUDGET):
         iterations.append(0)
-        ends: list[float] = []  # residual at the end of each cycle
-
-        def count(residual) -> None:
+        x, r = np.zeros(size, dtype=complex), rhs
+        ends = [float(np.linalg.norm(rhs))]  # |r| at the start, each cycle end
+        target = rtol * ends[0]
+        while ends[-1] > target:
             done = iterations[-1]
-            iterations[-1] += 1
-            if iterations[-1] > budget:
+            if done >= budget:
                 raise _KrylovFailed
-            if done % _GMRES_BUDGET == 0 and len(ends) >= 2:
-                target = rtol * float(np.linalg.norm(factor.solve(rhs))
-                                      / np.linalg.norm(rhs))
+            if len(ends) > 2:  # the early stop, from the third cycle on
                 rate = math.log(ends[-1] / ends[-2])
-                if not rate < 0 or (done + _GMRES_BUDGET
-                                    * math.log(target / ends[-1]) / rate
-                                    > budget):
+                if not rate < 0 or (done + m * math.log(target / ends[-1])
+                                    / rate > budget):
                     raise _KrylovFailed
-            if iterations[-1] % _GMRES_BUDGET == 0:
-                ends.append(residual)
-
-        solution, info = gmres(pinned, rhs, rtol=rtol, restart=_GMRES_BUDGET,
-                               M=preconditioner, callback=count,
-                               callback_type="pr_norm")
-        if info != 0:
-            raise _KrylovFailed
-        return solution
+            v[0] = r / ends[-1]
+            g, rotations, columns = [complex(ends[-1])], [], []
+            for j in range(min(m, budget - done)):
+                iterations[-1] += 1
+                z[j] = factor.solve(v[j])
+                w = block @ z[j]
+                h = (v[:j + 1] @ w.conj()).conj()
+                w -= h @ v[:j + 1]
+                again = (v[:j + 1] @ w.conj()).conj()
+                w -= again @ v[:j + 1]
+                height = float(np.linalg.norm(w))
+                column = (h + again).tolist()  # R's column j, rotated below
+                for i, (c, s) in enumerate(rotations):
+                    column[i], column[i + 1] = (
+                        c * column[i] + s * column[i + 1],
+                        c * column[i + 1] - s.conjugate() * column[i])
+                radius = math.hypot(abs(column[j]), height)
+                if radius == 0:  # B Z_j = 0: the block is singular
+                    raise _KrylovFailed
+                phase = column[j] / abs(column[j]) if column[j] else 1.0
+                c, s = abs(column[j]) / radius, phase * height / radius
+                rotations.append((c, s))
+                column[j] = phase * radius
+                columns.append(column + [0.0] * (m - j - 1))
+                g.append(-s.conjugate() * g[j])
+                g[j] *= c
+                if abs(g[j + 1]) <= target:
+                    break
+                v[j + 1] = w / height
+            k = len(columns)
+            y = solve_triangular(np.array(columns)[:, :k].T, g[:k])
+            x += y @ z[:k]
+            r = rhs - block @ x
+            ends.append(float(np.linalg.norm(r)))
+        return x
 
     return solve
 
@@ -504,12 +548,15 @@ def _sector_solve(full: bool, factor, sector: _Sector, requests: list,
     return route, [factor.solve(rhs[order])[back] for rhs, *_ in requests]
 
 
+@lru_cache(maxsize=4)
 def _dixon_probe(size: int, even: bool) -> tuple[np.ndarray, float, int]:
     """The seeded request ``(v, theta / 1000, ten budgets)`` of
-    :func:`_dixon_bound` on a sector of ``size``."""
+    :func:`_dixon_bound` on a sector of ``size``; ``v`` is read-only, as
+    every call with the same arguments shares it."""
     v = np.random.default_rng(0).standard_normal(2 * size).view(complex)
     if even:
         v[0] = 0.0  # the trace row's entry
+    v.flags.writeable = False
     return v, math.sqrt(_DIXON_CHANCE / v.size) / 1000, 10 * _GMRES_BUDGET
 
 
@@ -537,9 +584,11 @@ def steady_state(generator: FockGenerator) -> DensityState:
 
     The state lies in the even-k block of ``L`` (:func:`_split`): ``A x =
     e_0`` (that block, row 0 omega_a times the trace) is solved by GMRES
-    preconditioned by the LU of the RWA model's even block (P. D. Nation,
-    arXiv:1504.06768), exact without a pair-creation term, else by the LU of
-    ``A``.  Each model splits its own ``L``; the RWA blocks, the full ones'
+    right-preconditioned by the LU of the RWA model's even block (P. D.
+    Nation, arXiv:1504.06768), exact without a pair-creation term, else by
+    the LU of ``A``.  That GMRES (:func:`_gmres_solver`) makes one factor
+    solve per iteration and stops on the true residual |rhs - B x|.  Each
+    model splits its own ``L``; the RWA blocks, the full ones'
     k-keeping entries, are factored once in their k >= 0 parts only
     (:class:`_MirrorFactor`) and kept on ``g.rwa``, and each model solves
     only its own right-hand sides.  Each sector's block ``B`` (``A`` or
@@ -554,7 +603,8 @@ def steady_state(generator: FockGenerator) -> DensityState:
     sigma_min(A) and sigma_min(L_oo) each at least 1e-7 of that rate, each
     but for a chance below 1e-6.  No eigensolver runs.  The state must meet
     ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
-    check; route, iterations, residual, sectors and bounds go to DEBUG.
+    check; route, GMRES iterations (one RWA factor solve each), residual,
+    sectors and bounds go to DEBUG.
     """
     config, spec = generator.config, generator.spec
     full = config.include_counter_rotating
@@ -619,17 +669,21 @@ def _taylor_steps(real: sp.csr_matrix, v: np.ndarray, dt: float,
     snapshots[0] = v
     total = v.copy()
     matvecs = 0
+
+    def max_abs(x: np.ndarray) -> float:  # of a real x, with no |x| temporary
+        return max(x.max(), -x.min())
+
     for k in range(1, num_points):
         for _ in range(substeps):
             term = total
-            previous = np.abs(term).max()
+            previous = max_abs(term)
             for j in range(1, _TAYLOR_DEGREE + 1):
                 term = shifted @ term
                 term *= h / j
                 matvecs += 1
-                current = np.abs(term).max()
+                current = max_abs(term)
                 total += term
-                if previous + current <= 2.0 ** -53 * np.abs(total).max():
+                if previous + current <= 2.0 ** -53 * max_abs(total):
                     break
                 previous = current
             total *= scale
