@@ -46,15 +46,14 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-8
 
-# Stationary route.  A state solve needing more GMRES iterations than the
-# budget marks a weak preconditioner: at dims (14, 7) the even block's LU then
-# costs less (it matches 20-50 iterations).  A bound solve gets ten budgets,
-# cut short once a restart cycle's residual reduction projects past them: its
-# random right-hand side excites every slow mode (36 iterations at g = 0.1
-# and (14, 7), where the state takes 15), and the odd block's LU costs about
-# 500 (at g = 0.3 ten cycles reach only 2e-4).  A bound solve's residual is
-# subtracted in the bound itself (see steady_state), so it stops at theta
-# |v| / 1000, which lowers the bound by at most 0.1%.
+# Stationary route.  GMRES restarts every _GMRES_BUDGET iterations, and
+# every request, the state's and each bound's, gets ten such budgets, cut
+# short once a restart cycle's residual reduction projects past them; only
+# then does the whole block's LU take over.  That LU of the even block costs
+# as much as 600-870 iterations at (14, 7) and 3,800-4,000 at (25, 8), and
+# 50-60 at (8, 4), where ten budgets cost at most 25 ms more.  A bound
+# solve's residual is subtracted in the bound itself (see steady_state), so
+# it stops at theta |v| / 2, which at most halves the bound.
 _GMRES_RTOL = 1e-13
 _GMRES_BUDGET = 30
 # The chance m theta^2 that a Dixon bound passes a block below it.
@@ -404,7 +403,7 @@ def _real_form(index: np.ndarray, block: sp.csr_matrix,
 
 
 def _gmres_solver(block: sp.csr_matrix, factor, iterations: list[int]):
-    """``solve(rhs, rtol[, budget])`` of ``block x = rhs`` by restarted GMRES
+    """``solve(rhs, rtol, budget)`` of ``block x = rhs`` by restarted GMRES
     right-preconditioned by ``factor`` (Y. Saad and M. H. Schultz, SIAM J.
     Sci. Stat. Comput. 7, 856 (1986)), restarted every 30 iterations.
 
@@ -422,7 +421,7 @@ def _gmres_solver(block: sp.csr_matrix, factor, iterations: list[int]):
     v = np.empty((m + 1, size), dtype=complex)  # the Arnoldi basis
     z = np.empty((m, size), dtype=complex)  # M^-1 of each v_j
 
-    def solve(rhs: np.ndarray, rtol: float, budget: int = _GMRES_BUDGET):
+    def solve(rhs: np.ndarray, rtol: float, budget: int):
         iterations.append(0)
         x, r = np.zeros(size, dtype=complex), rhs
         ends = [float(np.linalg.norm(rhs))]  # |r| at the start, each cycle end
@@ -526,16 +525,21 @@ def _mirror_factor(sector: _Sector) -> _MirrorFactor | None:
 
 def _sector_solve(full: bool, factor, sector: _Sector, requests: list,
                   iterations: list[int]) -> tuple[str, list[np.ndarray]]:
-    """Route and ``B^-1 rhs`` for each ``(rhs, rtol[, budget])`` of
-    ``requests`` on one sector: GMRES preconditioned by its RWA ``factor``
-    (``None`` if singular) for the full model ("krylov"), else the block's
-    own LU ("lu-fallback"); the RWA model uses ``factor`` ("lu")."""
+    """Route and ``B^-1 rhs`` for each ``(rhs, rtol)`` of ``requests`` on
+    one sector: GMRES preconditioned by its RWA ``factor`` (``None`` if
+    singular) for the full model, ten budgets per request ("krylov"), else
+    the block's own LU ("lu-fallback"); the RWA model uses ``factor``
+    ("lu").  ``iterations`` gets one count per request, 0 where GMRES did
+    not run."""
+    start = len(iterations)
     if full and factor is not None:
         solve = _gmres_solver(sector.block, factor, iterations)
         try:
-            return "krylov", [solve(*request) for request in requests]
+            return "krylov", [solve(rhs, rtol, 10 * _GMRES_BUDGET)
+                              for rhs, rtol in requests]
         except _KrylovFailed:
             pass
+    iterations += [0] * (start + len(requests) - len(iterations))
     order = back = slice(None)
     if full:  # in vec(rho) order, which SuperLU factors 1.5-2 times faster
         order = np.argsort(sector.index)
@@ -545,19 +549,19 @@ def _sector_solve(full: bool, factor, sector: _Sector, requests: list,
             "stationary subspace is degenerate: the trace-pinned Liouvillian "
             "is exactly singular")
     route = "lu-fallback" if full else "lu"
-    return route, [factor.solve(rhs[order])[back] for rhs, *_ in requests]
+    return route, [factor.solve(rhs[order])[back] for rhs, _ in requests]
 
 
 @lru_cache(maxsize=4)
-def _dixon_probe(size: int, even: bool) -> tuple[np.ndarray, float, int]:
-    """The seeded request ``(v, theta / 1000, ten budgets)`` of
-    :func:`_dixon_bound` on a sector of ``size``; ``v`` is read-only, as
-    every call with the same arguments shares it."""
+def _dixon_probe(size: int, even: bool) -> tuple[np.ndarray, float]:
+    """The seeded request ``(v, theta / 2)`` of :func:`_dixon_bound` on a
+    sector of ``size``; ``v`` is read-only, as every call with the same
+    arguments shares it."""
     v = np.random.default_rng(0).standard_normal(2 * size).view(complex)
     if even:
         v[0] = 0.0  # the trace row's entry
     v.flags.writeable = False
-    return v, math.sqrt(_DIXON_CHANCE / v.size) / 1000, 10 * _GMRES_BUDGET
+    return v, math.sqrt(_DIXON_CHANCE / v.size) / 2
 
 
 def _dixon_bound(spec: SystemSpec, block: sp.csr_matrix, v: np.ndarray,
@@ -587,7 +591,8 @@ def steady_state(generator: FockGenerator) -> DensityState:
     right-preconditioned by the LU of the RWA model's even block (P. D.
     Nation, arXiv:1504.06768), exact without a pair-creation term, else by
     the LU of ``A``.  That GMRES (:func:`_gmres_solver`) makes one factor
-    solve per iteration and stops on the true residual |rhs - B x|.  Each
+    solve per iteration and stops on the true residual |rhs - B x|; every
+    request gets the same budget, and only a stalled one falls back.  Each
     model splits its own ``L``; the RWA blocks, the full ones'
     k-keeping entries, are factored once in their k >= 0 parts only
     (:class:`_MirrorFactor`) and kept on ``g.rwa``, and each model solves
@@ -597,13 +602,17 @@ def steady_state(generator: FockGenerator) -> DensityState:
     ``A^-1 e_0`` = rho / omega_a is short, so where sigma_min(A) is small the
     direction ``A^-1`` stretches most is nearly traceless) bounds sigma_min(B)
     >= (theta |v| - |v - B x|) / |x| but for a chance below m theta^2 = 1e-6
-    (J. D. Dixon, SIAM J. Numer. Anal. 20, 812 (1983)).  A bound under 1e-7
+    (J. D. Dixon, SIAM J. Numer. Anal. 20, 812 (1983)); as that holds for
+    any x, the solve stops at |v - B x| <= theta |v| / 2.  A bound under 1e-7
     of the slowest dissipation rate, or a singular LU, raises
     :class:`DegenerateSteadyStateError`: a returned state certifies
     sigma_min(A) and sigma_min(L_oo) each at least 1e-7 of that rate, each
     but for a chance below 1e-6.  No eigensolver runs.  The state must meet
-    ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|) and the tail
-    check; route, GMRES iterations (one RWA factor solve each), residual,
+    ``||L(rho)||_tr <= RESIDUAL_TOL`` (relative to max |L|), tested first by
+    its bound sqrt(n) ||L(rho)||_F, with an SVD only where that fails, and
+    the tail check.  Route, GMRES iterations (one RWA factor solve each) in
+    all and per request (state, even bound, odd bound), the residual
+    actually tested (that bound, or the trace norm where the SVD ran),
     sectors and bounds go to DEBUG.
     """
     config, spec = generator.config, generator.spec
@@ -627,12 +636,14 @@ def steady_state(generator: FockGenerator) -> DensityState:
     rho = _unvec(rho, n)
     rho = (rho + rho.conj().T) / (2 * rho.trace().real)
     tolerance = RESIDUAL_TOL * np.abs(generator.matrix.data).max()
-    resid = float(np.linalg.svd(_unvec(generator.matrix @ _vec(rho), n),
-                                compute_uv=False).sum())
-    logger.debug("steady state: route=%s gmres_iterations=%d residual=%.3e "
-                 "sectors=%d/%d even_bound=%s odd_bound=%s", route,
-                 sum(iterations), resid, even.index.size, odd.index.size,
-                 even_bound, odd_bound)
+    action = _unvec(generator.matrix @ _vec(rho), n)
+    resid = math.sqrt(n) * float(np.linalg.norm(action))
+    if not resid <= tolerance:  # the bound fails; the trace norm may not
+        resid = float(np.linalg.svd(action, compute_uv=False).sum())
+    logger.debug("steady state: route=%s gmres_iterations=%d requests=%s "
+                 "residual=%.3e sectors=%d/%d even_bound=%s odd_bound=%s",
+                 route, sum(iterations), ",".join(map(str, iterations)),
+                 resid, even.index.size, odd.index.size, even_bound, odd_bound)
     if not resid <= tolerance:
         raise RuntimeError(
             f"stationary residual {resid:.3e} exceeds {tolerance:.3e}")

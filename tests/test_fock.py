@@ -165,16 +165,31 @@ def logged_solve(caplog, generator):
     return state, fields
 
 
-@pytest.mark.parametrize("g, route", [(0.1, "krylov"), (0.2, "lu-fallback")])
-def test_steady_state_matches_pinned_direct_solve(g, route, caplog):
-    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
-                      kappa0=0.3, n_a0=0.5, n_b0=0.0)
-    generator = build_generator(spec, OracleConfig(dims=(10, 7)))
+PINNED_SPEC = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.05,
+                         kappa0=0.3, n_a0=0.5, n_b0=0.0)
+
+
+@pytest.mark.parametrize("spec, config, route", [
+    (PINNED_SPEC, OracleConfig(dims=(10, 7)), "krylov"),
+    (replace(PINNED_SPEC, g=0.2), OracleConfig(dims=(10, 7)), "krylov"),
+    # The even solve stops after three restart cycles, too slow to reach
+    # its tolerance in ten; the block's LU takes over.
+    (replace(SCALED_BASE, g=0.3),
+     OracleConfig(dims=(10, 6), tail_threshold=1e-4), "lu-fallback"),
+    # State solves of 33 and 49 iterations, past one restart cycle and far
+    # below the even block's LU in cost.
+    (replace(FIGURE_BASE, delta=-0.5 * FIGURE_BASE.omega_a),
+     OracleConfig(dims=(14, 7)), "krylov"),
+    (replace(SCALED_BASE, g=0.2), OracleConfig(dims=(14, 7)), "krylov"),
+], ids=["0.1-krylov", "0.2-krylov", "scaled-0.3-lu-fallback",
+        "figure-half-detuning-krylov", "scaled-0.2-krylov"])
+def test_steady_state_matches_pinned_direct_solve(spec, config, route, caplog):
+    generator = build_generator(spec, config)
     state, fields = logged_solve(caplog, generator)
     assert fields["route"] == route
     reference = pinned_direct_solve(generator)
     assert np.max(np.abs(state.matrix - reference)) <= 1e-10
-    reference_state = DensityState(dims=(10, 7), matrix=reference)
+    reference_state = DensityState(dims=config.dims, matrix=reference)
     assert mode_occupation(state, "a") == pytest.approx(
         mode_occupation(reference_state, "a"), rel=1e-10)
 
@@ -196,17 +211,23 @@ def test_steady_state_is_independent_of_the_frequency_unit(power, caplog):
     assert solve(2.0 ** power) == solve(1.0)
 
 
-@pytest.mark.parametrize("g, counter_rotating, route", [
-    (0.02, True, "krylov"), (0.2, True, "lu-fallback"), (0.2, False, "lu")])
+BOUND_SPEC = SystemSpec(omega_a=1.0, delta=-1.0, g=0.2, gamma0=0.05,
+                        kappa0=0.3, n_a0=0.05, n_b0=0.0)
+
+
+@pytest.mark.parametrize("spec, dims, tail, counter_rotating, route", [
+    (replace(BOUND_SPEC, g=0.02), (7, 4), 1e-4, True, "krylov"),
+    (BOUND_SPEC, (7, 4), 1e-4, True, "krylov"),
+    (BOUND_SPEC, (7, 4), 1e-4, False, "lu"),
+    # The even solve stalls after three cycles and the LU takes over; a
+    # spec that falls back at dims this small leaks past a 1e-4 tail.
+    (replace(SCALED_BASE, g=0.4), (8, 4), 1e-2, True, "lu-fallback")],
+    ids=["0.02-True-krylov", "0.2-True-krylov", "0.2-False-lu",
+         "scaled-0.4-True-lu-fallback"])
 def test_sector_bounds_lie_below_the_dense_singular_values(
-        g, counter_rotating, route, caplog):
-    spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
-                      kappa0=0.3, n_a0=0.05, n_b0=0.0)
-    # At (7, 4) the g = 0.2 even solve misses its budget and the LU takes
-    # over; at (6, 4) it converges, and a coupling that falls back there
-    # leaks past the 1e-4 tail.
-    config = OracleConfig(dims=(7, 4), include_counter_rotating=counter_rotating,
-                          tail_threshold=1e-4)
+        spec, dims, tail, counter_rotating, route, caplog):
+    config = OracleConfig(dims=dims, include_counter_rotating=counter_rotating,
+                          tail_threshold=tail)
     generator = build_generator(spec, config)
     _, fields = logged_solve(caplog, generator)
     assert fields["route"] == route
@@ -225,18 +246,19 @@ def test_sector_bounds_lie_below_the_dense_singular_values(
     assert 0 < float(fields["odd_bound"]) <= odd_sigma
 
 
-@pytest.mark.parametrize("g, converges", [(0.2, True), (0.3, False)])
+@pytest.mark.parametrize("g, converges", [(0.3, True), (0.35, False)])
 def test_stalled_odd_solve_stops_after_two_cycles(g, converges, scaled, caplog):
-    # At (10, 6) the even solve misses its 30-iteration budget at both
-    # couplings.  The odd one converges in 70 iterations at g = 0.2; at
-    # g = 0.3 its second restart cycle reduces the residual only 5-fold, too
-    # slow to reach the tolerance in ten cycles, so it stops there instead
-    # of running all ten and the odd LU takes over.
+    # At (10, 6) the even solve stalls at both couplings, after three cycles
+    # at g = 0.3 and two at g = 0.35.  The odd one converges in 207
+    # iterations at g = 0.3; at g = 0.35 its second restart cycle reduces the
+    # residual too little to reach the tolerance in ten cycles, so it stops
+    # there instead of running all ten and the odd LU takes over.
     config = OracleConfig(dims=(10, 6), tail_threshold=1e-4)
     generator = build_generator(replace(scaled, g=g), config)
     state, fields = logged_solve(caplog, generator)
     assert fields["route"] == "lu-fallback"
-    assert (int(fields["gmres_iterations"]) > 30 + 60) == converges
+    odd = int(fields["requests"].split(",")[2])
+    assert (odd > 2 * fock._GMRES_BUDGET) == converges
     assert np.max(np.abs(state.matrix
                          - pinned_direct_solve(generator))) <= 1e-10
     assert float(fields["odd_bound"]) > 0
@@ -246,19 +268,19 @@ def test_stalled_odd_solve_stops_after_two_cycles(g, converges, scaled, caplog):
 def test_stalled_odd_solve_stops_alike_in_any_unit(power, scaled, caplog):
     # Right-preconditioned GMRES minimises the true residual |rhs - B x|,
     # which has the unit of rhs, and the early stop compares its reduction
-    # per cycle with rtol |rhs|: the g = 0.3 stall above stops after two
+    # per cycle with rtol |rhs|: the g = 0.35 stalls above stop after two
     # cycles in every unit, not only where omega_a is near 1.
     config = OracleConfig(dims=(10, 6), tail_threshold=1e-4)
-    stalled = replace(scaled, g=0.3)
+    stalled = replace(scaled, g=0.35)
 
     def solve(scale):
         spec = replace(stalled, **{
             name: getattr(stalled, name) * scale
             for name in ("omega_a", "delta", "g", "gamma0", "kappa0")})
         _, fields = logged_solve(caplog, build_generator(spec, config))
-        return fields["route"], fields["gmres_iterations"]
+        return fields["route"], fields["requests"]
 
-    assert solve(2.0 ** power) == solve(1.0) == ("lu-fallback", "90")
+    assert solve(2.0 ** power) == solve(1.0) == ("lu-fallback", "60,0,60")
 
 
 class JacobiPreconditioner:
@@ -298,16 +320,18 @@ def test_gmres_past_its_budget_raises():
     iterations = []
     solve = fock._gmres_solver(matrix, JacobiPreconditioner(matrix), iterations)
     with pytest.raises(fock._KrylovFailed):
-        solve(rhs, 1e-12)
+        solve(rhs, 1e-12, fock._GMRES_BUDGET)
     assert iterations == [fock._GMRES_BUDGET]
 
 
 @pytest.mark.parametrize("g, dims, route", [(0.02, (8, 4), "krylov"),
-                                            (0.2, (7, 4), "lu-fallback")])
+                                            (0.2, (7, 4), "krylov"),
+                                            (0.4, (10, 7), "lu-fallback")])
 def test_each_gmres_iteration_makes_one_rwa_factor_solve(g, dims, route,
                                                          monkeypatch, caplog):
     # The right-hand side and the solution need no factor solve of their
-    # own: a full-model steady state makes exactly as many as it iterates.
+    # own: a full-model steady state makes exactly as many as it iterates,
+    # the sum of its three requests (state, even bound, odd bound).
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
                       kappa0=0.3, n_a0=0.05, n_b0=0.0)
     generator = build_generator(spec, OracleConfig(dims=dims,
@@ -322,15 +346,17 @@ def test_each_gmres_iteration_makes_one_rwa_factor_solve(g, dims, route,
     monkeypatch.setattr(fock._MirrorFactor, "solve", counted)
     _, fields = logged_solve(caplog, generator)
     assert fields["route"] == route
-    assert len(solves) == int(fields["gmres_iterations"]) > 0
+    requests = [int(count) for count in fields["requests"].split(",")]
+    assert len(requests) == 3
+    assert len(solves) == int(fields["gmres_iterations"]) == sum(requests) > 0
 
 
 def test_dixon_probe_is_shared_and_read_only():
-    v, rtol, budget = fock._dixon_probe(50, True)
+    v, rtol = fock._dixon_probe(50, True)
     assert fock._dixon_probe(50, True)[0] is v
     assert not v.flags.writeable
     assert v[0] == 0 and np.all(fock._dixon_probe(50, False)[0][1:] == v[1:])
-    assert budget == 10 * fock._GMRES_BUDGET
+    assert rtol == math.sqrt(fock._DIXON_CHANCE / v.size) / 2
 
 
 @pytest.mark.parametrize("floor, rejected", [(-2e-8, True), (-5e-9, False)])
@@ -550,12 +576,13 @@ def test_mirror_factor_solves_as_the_whole_sector_lu(spec, dims):
                 <= 1e-12 * np.linalg.norm(expected))
 
 
-@pytest.mark.parametrize("spec, iterations", [(SCALED_BASE, 29),
-                                              (FIGURE_BASE, 69)])
+@pytest.mark.parametrize("spec, iterations", [(SCALED_BASE, 23),
+                                              (FIGURE_BASE, 52)])
 def test_mirror_factor_preconditions_as_the_whole_sector_lu(
         spec, iterations, caplog):
     # The iteration totals of the whole-sector RWA LUs at (14, 7), with each
-    # bound solve stopped at theta |v| / 1000 (34 and 84 at 1e-10 |v|).
+    # bound solve stopped at theta |v| / 2 (29 and 69 at theta |v| / 1000,
+    # 34 and 84 at 1e-10 |v|).
     _, fields = logged_solve(
         caplog, build_generator(spec, OracleConfig(dims=(14, 7))))
     assert fields["route"] == "krylov"
@@ -626,6 +653,58 @@ def test_steady_state_log_is_silent_by_default(scaled, caplog):
     assert int(fields["gmres_iterations"]) > 0
     assert float(fields["residual"]) <= 1e-10
     assert float(fields["even_bound"]) > 0
+
+
+def counted_svd(monkeypatch):
+    """A list that gets one entry per ``np.linalg.svd`` call."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_passing_steady_state_makes_no_svd(monkeypatch, caplog):
+    # The residual's Frobenius bound sqrt(n) |L(rho)|_F, never below its
+    # trace norm, passes here by orders of magnitude.
+    calls = counted_svd(monkeypatch)
+    for counter_rotating in (True, False):
+        config = OracleConfig(dims=(8, 4),
+                              include_counter_rotating=counter_rotating)
+        _, fields = logged_solve(caplog, build_generator(SCALED_BASE, config))
+        assert float(fields["residual"]) <= 1e-10
+    assert calls == []
+
+
+def test_residual_takes_the_trace_norm_where_its_bound_fails(monkeypatch,
+                                                             caplog):
+    generator = build_generator(SCALED_BASE, OracleConfig(dims=(8, 4)))
+    state = steady_state(generator)
+    n = state.matrix.shape[0]
+    action = (generator.matrix @ state.matrix.reshape(-1, order="F")).reshape(
+        (n, n), order="F")
+    trace_norm = np.linalg.svd(action, compute_uv=False).sum()
+    bound = math.sqrt(n) * np.linalg.norm(action)
+    assert trace_norm < bound
+    scale = np.abs(generator.matrix.data).max()
+    calls = counted_svd(monkeypatch)
+    # Between the two, the bound fails and the trace norm passes.
+    monkeypatch.setattr(fock, "RESIDUAL_TOL",
+                        math.sqrt(trace_norm * bound) / scale)
+    again, fields = logged_solve(caplog, generator)
+    assert np.array_equal(again.matrix, state.matrix)
+    assert len(calls) == 1
+    assert float(fields["residual"]) == pytest.approx(trace_norm, rel=1e-3)
+    # Below both, the trace norm is the residual reported.
+    monkeypatch.setattr(fock, "RESIDUAL_TOL", trace_norm / 2 / scale)
+    with pytest.raises(RuntimeError, match="stationary residual") as error:
+        steady_state(generator)
+    assert len(calls) == 2
+    assert float(str(error.value).split()[2]) == pytest.approx(trace_norm,
+                                                               rel=1e-3)
 
 
 def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
