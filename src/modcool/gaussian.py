@@ -8,11 +8,19 @@ variance 1/2, ordered as (X_a, P_a, X_b, P_b).
 
 The steady state and the trajectories share one vectorised moment operator
 K = A (x) I + I (x) A, the 16 x 16 matrix with K vec V = vec(A V + V A^T)
-(row-major vec).  The steady state is one LU solve K vec V = -vec D (see
-:func:`steady_state`), and the moment equations, linear with constant
-coefficients, are propagated exactly by one matrix exponential of a
-generator built around K rather than integrated numerically (see
-:func:`evolve`).
+(row-major vec), written by broadcasting.  The steady state is one LU solve
+K vec V = -vec D (see :func:`steady_state`), and the moment equations,
+linear with constant coefficients, are propagated exactly by one matrix
+exponential of a generator built around K rather than integrated
+numerically (see :func:`evolve`).
+
+Each quantity is computed once per object that owns it.  A
+:class:`DriftModel` holds read-only copies of its matrices and computes its
+:class:`StabilityReport` (one ``eig``) on first use; a
+:class:`CovarianceState` holds read-only copies of its moments and computes
+its physicality verdict (one ``eigvalsh``) on first use.  Neither memo
+outlives the object, so one sweep point makes one ``eig`` and two
+``eigvalsh`` (the diffusion's check and the state's).
 
 The :class:`~modcool.model.SystemSpec` carries ordinary frequencies in Hz;
 the drift and diffusion matrices are assembled in angular units (1/s) so
@@ -23,8 +31,10 @@ by the caller.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -48,6 +58,8 @@ _SYMMETRY_TOL = 1e-12
 # (X, P) positions of each mode in the quadrature ordering.
 _MODE_QUADRATURES = {"a": (0, 1), "b": (2, 3)}
 
+logger = logging.getLogger(__name__)
+
 
 class StabilityError(RuntimeError):
     """The drift matrix is not Hurwitz, so no stationary state exists."""
@@ -61,10 +73,13 @@ class DriftModel:
     diffusion: np.ndarray
 
     def __post_init__(self) -> None:
-        drift = np.asarray(self.drift, dtype=float)
-        diffusion = np.asarray(self.diffusion, dtype=float)
+        drift = _read_only(self.drift)
+        diffusion = _read_only(self.diffusion)
         if drift.shape != (4, 4) or diffusion.shape != (4, 4):
             raise ValueError("drift and diffusion must be 4x4")
+        for name, value in (("drift", drift), ("diffusion", diffusion)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if not np.array_equal(diffusion, diffusion.T):
             raise ValueError("diffusion must be symmetric")
         if (np.linalg.eigvalsh(diffusion)[0]
@@ -72,6 +87,20 @@ class DriftModel:
             raise ValueError("diffusion must be positive semi-definite")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", diffusion)
+
+    @cached_property
+    def _stability(self) -> StabilityReport:
+        """:func:`stability` of this model, made once."""
+        eigenvalues, vectors = np.linalg.eig(self.drift)
+        eigenvalues.flags.writeable = False
+        slowest = int(np.argmax(eigenvalues.real))
+        margin = float(eigenvalues.real[slowest])
+        return StabilityReport(
+            eigenvalues=eigenvalues,
+            hurwitz=bool(margin < 0),
+            margin=margin,
+            mechanical_weight=float(np.sum(np.abs(vectors[:2, slowest]) ** 2)),
+        )
 
 
 @dataclass(frozen=True)
@@ -82,18 +111,30 @@ class CovarianceState:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
+        mean = _read_only(self.mean)
+        cov = _read_only(self.covariance)
         if mean.shape != (4,) or cov.shape != (4, 4):
             raise ValueError("mean must be length 4 and covariance 4x4")
         for name, value in (("mean", mean), ("covariance", cov)):
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         asym = np.max(np.abs(cov - cov.T))
         if asym > _SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
             raise ValueError(f"covariance asymmetric by {asym:.3e}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+
+    @cached_property
+    def _violation(self) -> float | None:
+        """:func:`_worst_violation` of this covariance, made once."""
+        return _worst_violation(self.covariance[np.newaxis])
+
+
+def _read_only(value) -> np.ndarray:
+    """A float copy of ``value`` that cannot be written to."""
+    array = np.array(value, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -163,16 +204,12 @@ def build_drift(spec: SystemSpec) -> DriftModel:
 
 
 def stability(model: DriftModel) -> StabilityReport:
-    """Eigenpairs of the drift matrix: Hurwitz flag, margin, mechanical weight."""
-    eigenvalues, vectors = np.linalg.eig(model.drift)
-    slowest = int(np.argmax(eigenvalues.real))
-    margin = float(eigenvalues.real[slowest])
-    return StabilityReport(
-        eigenvalues=eigenvalues,
-        hurwitz=bool(margin < 0),
-        margin=margin,
-        mechanical_weight=float(np.sum(np.abs(vectors[:2, slowest]) ** 2)),
-    )
+    """Eigenpairs of the drift matrix: Hurwitz flag, margin, mechanical weight.
+
+    Each model computes its report once, on first use, and returns the same
+    read-only report to every later call.
+    """
+    return model._stability
 
 
 def physicality_margin(state: CovarianceState) -> float:
@@ -214,9 +251,13 @@ def occupation(state: CovarianceState, mode: str) -> float:
 
     Raises ValueError when the state violates the uncertainty bound by more
     than ``PHYSICALITY_TOL`` or the rounding of V (:func:`_worst_violation`).
+    The state computes that verdict once, so :func:`steady_state`'s check
+    and every later call here share one ``eigvalsh``.
     """
-    return _occupations(state.mean[np.newaxis], state.covariance[np.newaxis],
-                        mode)[0]
+    x, p = _quadratures(mode)
+    _require_physical(state._violation)
+    m, v = state.mean, state.covariance
+    return 0.5 * (v[x, x] + v[p, p] + m[x] ** 2 + m[p] ** 2 - 1.0)
 
 
 def _occupations(means: np.ndarray, covariances: np.ndarray,
@@ -225,21 +266,38 @@ def _occupations(means: np.ndarray, covariances: np.ndarray,
 
     The physicality check is one batched ``eigvalsh`` over the whole stack.
     """
-    if mode not in _MODE_QUADRATURES:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    worst = _worst_violation(covariances)
-    if worst is not None:
-        raise ValueError(
-            f"covariance violates the uncertainty bound by {worst:.3e}")
-    x, p = _MODE_QUADRATURES[mode]
+    x, p = _quadratures(mode)
+    _require_physical(_worst_violation(covariances))
     return 0.5 * (covariances[:, x, x] + covariances[:, p, p]
                   + means[:, x] ** 2 + means[:, p] ** 2 - 1.0)
 
 
+def _quadratures(mode: str) -> tuple[int, int]:
+    """(X, P) positions of mode ``'a'`` or ``'b'``."""
+    if mode not in _MODE_QUADRATURES:
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    return _MODE_QUADRATURES[mode]
+
+
+def _require_physical(worst: float | None) -> None:
+    """Raise ValueError for a :func:`_worst_violation` verdict that fails."""
+    if worst is not None:
+        raise ValueError(
+            f"covariance violates the uncertainty bound by {worst:.3e}")
+
+
 def _moment_operator(drift: np.ndarray) -> np.ndarray:
-    """K = A (x) I + I (x) A, so that K vec V = vec(A V + V A^T)."""
-    identity = np.eye(len(drift))
-    return np.kron(drift, identity) + np.kron(identity, drift)
+    """K = A (x) I + I (x) A, so that K vec V = vec(A V + V A^T).
+
+    K[(i, j), (k, l)] = A[i, k] I[j, l] + I[i, k] A[j, l], written by
+    broadcasting: the same products and sums as two ``np.kron`` calls, so
+    the same bits, without their overhead.
+    """
+    n = len(drift)
+    identity = np.eye(n)
+    operator = (drift[:, None, :, None] * identity[None, :, None, :]
+                + identity[:, None, :, None] * drift[None, :, None, :])
+    return operator.reshape(n * n, n * n)
 
 
 def steady_state(model: DriftModel) -> CovarianceState:
@@ -250,7 +308,11 @@ def steady_state(model: DriftModel) -> CovarianceState:
     K = A (x) I + I (x) A, and is symmetrised.  Its backward error must
     meet ||A V + V A^T + D||_F <= 1e-12 (2 ||A||_F ||V||_F + ||D||_F)
     (``RuntimeError`` otherwise), and it meets the physicality bound
-    V + i Omega/2 >= 0.
+    V + i Omega/2 >= 0.  The Hurwitz check reads the model's one
+    :func:`stability` report, and the returned state keeps its physicality
+    verdict, so :func:`occupation` repeats neither.  One DEBUG line on the
+    ``modcool.gaussian`` logger gives the backward error over its scale, the
+    margin and whether the physicality check passed.
     """
     report = stability(model)
     if not report.hurwitz:
@@ -267,7 +329,9 @@ def steady_state(model: DriftModel) -> CovarianceState:
         raise RuntimeError(f"Lyapunov backward error {residual / scale:.3e} "
                            f"exceeds {LYAPUNOV_RTOL:.0e}")
     state = CovarianceState(mean=np.zeros(4), covariance=v)
-    worst = _worst_violation(state.covariance[np.newaxis])
+    worst = state._violation
+    logger.debug("steady state: backward_error=%.3e margin=%.3e physical=%s",
+                 residual / scale, report.margin, worst is None)
     if worst is not None:
         raise RuntimeError(
             f"stationary covariance violates physicality by {worst:.3e}")

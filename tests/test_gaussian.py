@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 import modcool
-from modcool import SystemSpec, analytic, gaussian
+from modcool import SystemSpec, analytic, gaussian, sweep
 from modcool.cli import FIGURE_BASE
 from modcool.gaussian import (
     SYMPLECTIC_FORM,
@@ -74,6 +76,118 @@ def test_drift_model_accepts_a_correlated_psd_diffusion():
     diffusion[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
     model = DriftModel(drift=-np.eye(4), diffusion=diffusion)
     assert np.array_equal(model.diffusion, diffusion)
+
+
+@pytest.mark.parametrize("matrix, position, value", [
+    ("drift", (1, 2), math.nan),
+    ("diffusion", (3, 3), math.nan),
+    ("diffusion", (0, 0), math.inf),
+], ids=["nan-drift", "nan-diffusion", "inf-diffusion"])
+def test_drift_model_rejects_non_finite(matrix, position, value):
+    # Each used to pass or fail later, under another name: a NaN drift in
+    # stability's eig, a NaN diffusion as "symmetric", an infinite one in
+    # eigvalsh's convergence.
+    arguments = {"drift": -np.eye(4), "diffusion": np.eye(4)}
+    arguments[matrix][position] = value
+    with pytest.raises(ValueError, match=f"^{matrix} must be finite$"):
+        DriftModel(**arguments)
+
+
+def test_build_drift_rejects_an_overflowing_spec():
+    # 2 pi 1e308 overflows to inf in the drift's angular frequencies.
+    spec = SystemSpec(omega_a=1e308, delta=-1e308, g=1.0, gamma0=1.0,
+                      kappa0=1.0, n_a0=0.0, n_b0=0.0)
+    with pytest.raises(ValueError, match="^drift must be finite$"):
+        build_drift(spec)
+
+
+def counted(monkeypatch, module, name):
+    """A list that gets one entry per call of ``module.name``."""
+    calls, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_sweep_point_computes_each_quantity_once(monkeypatch):
+    # One eig (the model's report), two eigvalsh (the diffusion's PSD check
+    # and the state's physicality verdict) and no kron: the rate, the
+    # Hurwitz check and the occupation share what they read.
+    eig = counted(monkeypatch, np.linalg, "eig")
+    eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+    kron = counted(monkeypatch, np, "kron")
+    row = sweep.solve_point(BENCHMARK, ("gaussian",), None, None, 0.0)
+    assert row.occupations["gaussian"] is not None
+    assert (len(eig), len(eigvalsh), len(kron)) == (1, 2, 0)
+    model = build_drift(BENCHMARK)
+    assert stability(model) is stability(model)
+    for array in (model.drift, model.diffusion,
+                  stability(model).eigenvalues):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_drift_model_copies_its_inputs():
+    # The cached report stays true to the matrices: the model keeps copies,
+    # and the caller's arrays stay writable.
+    drift, diffusion = -np.eye(4), np.eye(4)
+    model = DriftModel(drift=drift, diffusion=diffusion)
+    before = stability(model).margin
+    drift[0, 0] = 1.0
+    assert drift.flags.writeable
+    assert stability(model).margin == before == -1.0
+
+
+def test_state_physicality_verdict_is_shared(monkeypatch):
+    state = steady_state(build_drift(SCALED))
+    eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+    assert occupation(state, "a") == occupation(state, "a")
+    assert occupation(state, "b") >= 0
+    assert eigvalsh == []
+    assert not state.covariance.flags.writeable
+    assert not state.mean.flags.writeable
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0.0), st.just(-0.0),
+              st.floats(-1e6, 1e6, allow_subnormal=False)),
+    min_size=n * n, max_size=n * n)))
+def test_moment_operator_is_the_kronecker_sum(entries):
+    n = math.isqrt(len(entries))
+    a = np.array(entries).reshape(n, n)
+    identity = np.eye(n)
+    k = gaussian._moment_operator(a)
+    kron = np.kron(a, identity) + np.kron(identity, a)
+    assert np.array_equal(k, kron)
+    assert np.array_equal(np.signbit(k), np.signbit(kron))
+    v = np.arange(1.0, n * n + 1).reshape(n, n) / n
+    scale = np.abs(a).max() * np.abs(v).max() * n
+    assert np.allclose(k @ v.ravel(), (a @ v + v @ a.T).ravel(),
+                       rtol=0, atol=1e-13 * scale)
+
+
+def test_steady_state_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="modcool.gaussian"):
+        steady_state(build_drift(BENCHMARK))
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.name == "modcool.gaussian"]
+    fields = dict(item.split("=") for item in message.split(": ")[1].split())
+    assert message.startswith("steady state: ")
+    assert float(fields["backward_error"]) <= gaussian.LYAPUNOV_RTOL
+    assert float(fields["margin"]) == pytest.approx(
+        stability(build_drift(BENCHMARK)).margin, rel=1e-3)
+    assert fields["physical"] == "True"
+
+
+def test_steady_state_is_silent_by_default(caplog):
+    steady_state(build_drift(BENCHMARK))
+    assert [r for r in caplog.records if r.name == "modcool.gaussian"] == []
 
 
 def test_drift_uncoupled_is_block_diagonal():
