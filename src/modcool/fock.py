@@ -10,9 +10,10 @@ closed forms by a completely independent route.  ``L`` is the direct sum of
 its even-k and odd-k blocks, each laid out as [k = 0 | k > 0 | mirrors of k >
 0].  Each model splits its own ``L``; the RWA model keeps its LU, factored in
 its k >= 0 parts only (the k < 0 parts are their conjugate mirrors), which
-solves its state and right-preconditions the module's own GMRES in the full
-model's even block, one factor solve per iteration; one seeded solve per
-block certifies uniqueness.
+right-preconditions the module's own GMRES, one factor solve per iteration,
+in every block of both models (one iteration per request in the RWA one);
+only a stalled request or a singular factor takes the block's LU.  One
+seeded solve per block certifies uniqueness.
 Trajectories are ``expm(L t) rho0``, propagated per block in real arithmetic.
 The stationary route stays complex, as the real basis pairs k with -k and
 merges the RWA k-blocks (LU fill 0.11M to 0.79M in the (14, 7) even block).
@@ -154,11 +155,17 @@ class FockGenerator:
         return FockGenerator(spec=self.spec, config=config, matrix=matrix)
 
     @cached_property
-    def _factored(self) -> tuple[list[_Sector], list[_MirrorFactor | None]]:
-        """The pinned sectors (:func:`_split`) of this model, which has no
-        pair-creation term, and their :func:`_mirror_factor`; made once."""
-        sectors = _split(self)
-        return sectors, [_mirror_factor(sector) for sector in sectors]
+    def _sectors(self) -> list[_Sector]:
+        """The pinned sectors (:func:`_split`) of this model; made once."""
+        return _split(self)
+
+    @cached_property
+    def _factors(self) -> list[_MirrorFactor | None]:
+        """The :func:`_mirror_factor` of each RWA sector, which precondition
+        both models; made once, on the RWA model, and shared by the full."""
+        if self.config.include_counter_rotating:
+            return self.rwa._factors
+        return [_mirror_factor(sector) for sector in self._sectors]
 
 
 @dataclass(frozen=True)
@@ -523,16 +530,16 @@ def _mirror_factor(sector: _Sector) -> _MirrorFactor | None:
     return _MirrorFactor(zero=zero, zero_lu=zero_lu, plus_lu=plus_lu)
 
 
-def _sector_solve(full: bool, factor, sector: _Sector, requests: list,
+def _sector_solve(factor, sector: _Sector, requests: list,
                   iterations: list[int]) -> tuple[str, list[np.ndarray]]:
     """Route and ``B^-1 rhs`` for each ``(rhs, rtol)`` of ``requests`` on
-    one sector: GMRES preconditioned by its RWA ``factor`` (``None`` if
-    singular) for the full model, ten budgets per request ("krylov"), else
-    the block's own LU ("lu-fallback"); the RWA model uses ``factor``
-    ("lu").  ``iterations`` gets one count per request, 0 where GMRES did
-    not run."""
+    one sector of either model: GMRES preconditioned by the RWA ``factor``
+    (``None`` if singular), ten budgets per request ("krylov"), exact for
+    the RWA model, so one iteration each there; only a stalled request or a
+    singular factor hands the sector to the block's own LU ("lu-fallback").
+    ``iterations`` gets one count per request, 0 where GMRES did not run."""
     start = len(iterations)
-    if full and factor is not None:
+    if factor is not None:
         solve = _gmres_solver(sector.block, factor, iterations)
         try:
             return "krylov", [solve(rhs, rtol, 10 * _GMRES_BUDGET)
@@ -540,16 +547,14 @@ def _sector_solve(full: bool, factor, sector: _Sector, requests: list,
         except _KrylovFailed:
             pass
     iterations += [0] * (start + len(requests) - len(iterations))
-    order = back = slice(None)
-    if full:  # in vec(rho) order, which SuperLU factors 1.5-2 times faster
-        order = np.argsort(sector.index)
-        factor, back = _factor(sector.block[order][:, order]), np.argsort(order)
+    order = np.argsort(sector.index)  # vec(rho) order, factored 1.5-2x faster
+    factor, back = _factor(sector.block[order][:, order]), np.argsort(order)
     if factor is None:
         raise DegenerateSteadyStateError(
             "stationary subspace is degenerate: the trace-pinned Liouvillian "
             "is exactly singular")
-    route = "lu-fallback" if full else "lu"
-    return route, [factor.solve(rhs[order])[back] for rhs, _ in requests]
+    return "lu-fallback", [factor.solve(rhs[order])[back]
+                           for rhs, _ in requests]
 
 
 @lru_cache(maxsize=4)
@@ -587,21 +592,23 @@ def steady_state(generator: FockGenerator) -> DensityState:
     """Stationary density matrix of the Liouvillian ``L``.
 
     The state lies in the even-k block of ``L`` (:func:`_split`): ``A x =
-    e_0`` (that block, row 0 omega_a times the trace) is solved by GMRES
-    right-preconditioned by the LU of the RWA model's even block (P. D.
-    Nation, arXiv:1504.06768), exact without a pair-creation term, else by
-    the LU of ``A``.  That GMRES (:func:`_gmres_solver`) makes one factor
-    solve per iteration and stops on the true residual |rhs - B x|; every
-    request gets the same budget, and only a stalled one falls back.  Each
-    model splits its own ``L``; the RWA blocks, the full ones'
-    k-keeping entries, are factored once in their k >= 0 parts only
+    e_0`` (that block, row 0 omega_a times the trace) is solved, in either
+    model, by GMRES right-preconditioned by the LU of the RWA model's even
+    block (P. D. Nation, arXiv:1504.06768), exact without a pair-creation
+    term: there each request takes one iteration, and the RWA state meets
+    the same stop as the full one.  That GMRES (:func:`_gmres_solver`) makes
+    one factor solve per iteration and stops on the true residual
+    |rhs - B x|; every request gets the same budget, and only a stalled one,
+    or a singular factor, falls back to the LU of the whole block.  Each
+    model splits its own ``L`` once; the RWA blocks, the full ones' k-keeping
+    entries, are factored once in their k >= 0 parts only
     (:class:`_MirrorFactor`) and kept on ``g.rwa``, and each model solves
     only its own right-hand sides.  Each sector's block ``B`` (``A`` or
     ``L_oo``) of size m takes one more solve: ``x = B^-1 v`` for a seeded
-    complex Gaussian ``v`` (its trace entry zero for ``A``:
-    ``A^-1 e_0`` = rho / omega_a is short, so where sigma_min(A) is small the
-    direction ``A^-1`` stretches most is nearly traceless) bounds sigma_min(B)
-    >= (theta |v| - |v - B x|) / |x| but for a chance below m theta^2 = 1e-6
+    complex Gaussian ``v`` (its trace entry zero for ``A``: ``A^-1 e_0`` =
+    rho / omega_a is short, so where sigma_min(A) is small the direction
+    ``A^-1`` stretches most is nearly traceless) bounds sigma_min(B) >=
+    (theta |v| - |v - B x|) / |x| but for a chance below m theta^2 = 1e-6
     (J. D. Dixon, SIAM J. Numer. Anal. 20, 812 (1983)); as that holds for
     any x, the solve stops at |v - B x| <= theta |v| / 2.  A bound under 1e-7
     of the slowest dissipation rate, or a singular LU, raises
@@ -616,19 +623,15 @@ def steady_state(generator: FockGenerator) -> DensityState:
     sectors and bounds go to DEBUG.
     """
     config, spec = generator.config, generator.spec
-    full = config.include_counter_rotating
-    if full:  # preconditioned by the factors of the RWA model
-        (even, odd), (_, factors) = _split(generator), generator.rwa._factored
-    else:
-        (even, odd), factors = generator._factored
+    (even, odd), factors = generator._sectors, generator._factors
     iterations: list[int] = []
     probe = _dixon_probe(even.index.size, even=True)
-    route, (vector, x) = _sector_solve(full, factors[0], even, [
+    route, (vector, x) = _sector_solve(factors[0], even, [
         (np.eye(1, even.index.size, dtype=complex)[0], _GMRES_RTOL), probe],
         iterations)
     even_bound = _dixon_bound(spec, even.block, probe[0], x, "even")
     probe = _dixon_probe(odd.index.size, even=False)
-    _, (x,) = _sector_solve(full, factors[1], odd, [probe], iterations)
+    _, (x,) = _sector_solve(factors[1], odd, [probe], iterations)
     odd_bound = _dixon_bound(spec, odd.block, probe[0], x, "odd")
     n = config.dims[0] * config.dims[1]
     rho = np.zeros(n * n, dtype=complex)

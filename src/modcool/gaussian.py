@@ -17,10 +17,10 @@ numerically (see :func:`evolve`).
 Each quantity is computed once per object that owns it.  A
 :class:`DriftModel` holds read-only copies of its matrices and computes its
 :class:`StabilityReport` (one ``eig``) on first use; a
-:class:`CovarianceState` holds read-only copies of its moments and computes
-its physicality verdict (one ``eigvalsh``) on first use.  Neither memo
-outlives the object, so one sweep point makes one ``eig`` and two
-``eigvalsh`` (the diffusion's check and the state's).
+:class:`CovarianceState` or :class:`Trajectory` holds read-only copies of its
+moments and computes its physicality verdict (one ``eigvalsh``, batched over
+a trajectory) on first use.  No memo outlives its object, so one sweep point
+makes one ``eig`` and two ``eigvalsh`` (the diffusion's check and the state's).
 
 The :class:`~modcool.model.SystemSpec` carries ordinary frequencies in Hz;
 the drift and diffusion matrices are assembled in angular units (1/s) so
@@ -165,14 +165,23 @@ class Trajectory:
     covariances: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.times)
-        if self.means.shape != (n, 4) or self.covariances.shape != (n, 4, 4):
+        names = ("times", "means", "covariances")
+        times, means, covs = (_read_only(getattr(self, n)) for n in names)
+        if means.shape != (len(times), 4) or covs.shape != (len(times), 4, 4):
             raise ValueError("need one length-4 mean and one 4x4 covariance "
                              "per time")
+        for name, value in zip(names, (times, means, covs)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def _violation(self) -> float | None:
+        """:func:`_worst_violation` of the whole stack, made once."""
+        return _worst_violation(self.covariances)
 
     def occupations(self, mode: str) -> np.ndarray:
-        """Occupation of one mode at every snapshot (see :func:`occupation`)."""
-        return _occupations(self.means, self.covariances, mode)
+        """Occupation of one mode at every snapshot (see :func:`occupation`);
+        both modes share the stack's one batched physicality ``eigvalsh``."""
+        return _occupation(self.means, self.covariances, self._violation, mode)
 
 
 def build_drift(spec: SystemSpec) -> DriftModel:
@@ -254,36 +263,21 @@ def occupation(state: CovarianceState, mode: str) -> float:
     The state computes that verdict once, so :func:`steady_state`'s check
     and every later call here share one ``eigvalsh``.
     """
-    x, p = _quadratures(mode)
-    _require_physical(state._violation)
-    m, v = state.mean, state.covariance
-    return 0.5 * (v[x, x] + v[p, p] + m[x] ** 2 + m[p] ** 2 - 1.0)
+    return _occupation(state.mean, state.covariance, state._violation, mode)
 
 
-def _occupations(means: np.ndarray, covariances: np.ndarray,
-                 mode: str) -> np.ndarray:
-    """Occupations of one mode over a stack of means and covariances.
-
-    The physicality check is one batched ``eigvalsh`` over the whole stack.
-    """
-    x, p = _quadratures(mode)
-    _require_physical(_worst_violation(covariances))
-    return 0.5 * (covariances[:, x, x] + covariances[:, p, p]
-                  + means[:, x] ** 2 + means[:, p] ** 2 - 1.0)
-
-
-def _quadratures(mode: str) -> tuple[int, int]:
-    """(X, P) positions of mode ``'a'`` or ``'b'``."""
+def _occupation(means: np.ndarray, covariances: np.ndarray,
+                violation: float | None, mode: str):
+    """Occupation of mode ``'a'`` or ``'b'`` of one state or of a stack (the
+    transposes index both alike); ValueError if their :func:`_worst_violation`
+    verdict ``violation`` fails."""
     if mode not in _MODE_QUADRATURES:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return _MODE_QUADRATURES[mode]
-
-
-def _require_physical(worst: float | None) -> None:
-    """Raise ValueError for a :func:`_worst_violation` verdict that fails."""
-    if worst is not None:
+    if violation is not None:
         raise ValueError(
-            f"covariance violates the uncertainty bound by {worst:.3e}")
+            f"covariance violates the uncertainty bound by {violation:.3e}")
+    (x, p), v, m = _MODE_QUADRATURES[mode], covariances.T, means.T
+    return 0.5 * (v[x, x] + v[p, p] + m[x] ** 2 + m[p] ** 2 - 1.0)
 
 
 def _moment_operator(drift: np.ndarray) -> np.ndarray:

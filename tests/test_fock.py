@@ -218,11 +218,12 @@ BOUND_SPEC = SystemSpec(omega_a=1.0, delta=-1.0, g=0.2, gamma0=0.05,
 @pytest.mark.parametrize("spec, dims, tail, counter_rotating, route", [
     (replace(BOUND_SPEC, g=0.02), (7, 4), 1e-4, True, "krylov"),
     (BOUND_SPEC, (7, 4), 1e-4, True, "krylov"),
-    (BOUND_SPEC, (7, 4), 1e-4, False, "lu"),
+    # The RWA model's own factor preconditions it: exact, one iteration.
+    (BOUND_SPEC, (7, 4), 1e-4, False, "krylov"),
     # The even solve stalls after three cycles and the LU takes over; a
     # spec that falls back at dims this small leaks past a 1e-4 tail.
     (replace(SCALED_BASE, g=0.4), (8, 4), 1e-2, True, "lu-fallback")],
-    ids=["0.02-True-krylov", "0.2-True-krylov", "0.2-False-lu",
+    ids=["0.02-True-krylov", "0.2-True-krylov", "0.2-False-krylov",
          "scaled-0.4-True-lu-fallback"])
 def test_sector_bounds_lie_below_the_dense_singular_values(
         spec, dims, tail, counter_rotating, route, caplog):
@@ -324,18 +325,22 @@ def test_gmres_past_its_budget_raises():
     assert iterations == [fock._GMRES_BUDGET]
 
 
-@pytest.mark.parametrize("g, dims, route", [(0.02, (8, 4), "krylov"),
-                                            (0.2, (7, 4), "krylov"),
-                                            (0.4, (10, 7), "lu-fallback")])
-def test_each_gmres_iteration_makes_one_rwa_factor_solve(g, dims, route,
-                                                         monkeypatch, caplog):
+@pytest.mark.parametrize("g, dims, counter_rotating, route", [
+    (0.02, (8, 4), True, "krylov"), (0.2, (7, 4), True, "krylov"),
+    (0.4, (10, 7), True, "lu-fallback"), (0.2, (7, 4), False, "krylov")],
+    ids=["0.02-dims0-krylov", "0.2-dims1-krylov", "0.4-dims2-lu-fallback",
+         "0.2-rwa-krylov"])
+def test_each_gmres_iteration_makes_one_rwa_factor_solve(
+        g, dims, counter_rotating, route, monkeypatch, caplog):
     # The right-hand side and the solution need no factor solve of their
-    # own: a full-model steady state makes exactly as many as it iterates,
-    # the sum of its three requests (state, even bound, odd bound).
+    # own: a steady state makes exactly as many as it iterates, the sum of
+    # its three requests (state, even bound, odd bound).  The RWA model's
+    # factor is exact for it, so each of its requests takes one iteration.
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=g, gamma0=0.05,
                       kappa0=0.3, n_a0=0.05, n_b0=0.0)
-    generator = build_generator(spec, OracleConfig(dims=dims,
-                                                   tail_threshold=1e-4))
+    generator = build_generator(spec, OracleConfig(
+        dims=dims, include_counter_rotating=counter_rotating,
+        tail_threshold=1e-4))
     solves = []
     mirror_solve = fock._MirrorFactor.solve
 
@@ -349,6 +354,8 @@ def test_each_gmres_iteration_makes_one_rwa_factor_solve(g, dims, route,
     requests = [int(count) for count in fields["requests"].split(",")]
     assert len(requests) == 3
     assert len(solves) == int(fields["gmres_iterations"]) == sum(requests) > 0
+    if not counter_rotating:
+        assert requests == [1, 1, 1] and len(solves) == 3
 
 
 def test_dixon_probe_is_shared_and_read_only():

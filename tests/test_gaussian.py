@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 import modcool
-from modcool import SystemSpec, analytic, gaussian, sweep
+from modcool import SystemSpec, analytic, cli, gaussian, sweep
 from modcool.cli import FIGURE_BASE
 from modcool.gaussian import (
     SYMPLECTIC_FORM,
@@ -151,6 +151,30 @@ def test_state_physicality_verdict_is_shared(monkeypatch):
     assert eigvalsh == []
     assert not state.covariance.flags.writeable
     assert not state.mean.flags.writeable
+
+
+def test_evolve_command_checks_the_trajectory_once(tmp_path, monkeypatch):
+    # Both modes' occupations share the trajectory's one batched verdict
+    # over its 400 covariances.
+    config = tmp_path / "sys.ini"
+    config.write_text("[system]\nomega_a = 20 MHz\ndelta = -20 MHz\n"
+                      "g = 2 MHz\ngamma0 = 2 kHz\nkappa0 = 4 MHz\nn_a0 = 20\n")
+    eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
+    assert cli.main(["evolve", "--config", str(config), "--duration", "5e-7",
+                     "--out", str(tmp_path / "trajectory.csv")]) == 0
+    stacks = [args[0].shape for args in eigvalsh if args[0].ndim == 3]
+    assert stacks.count((400, 4, 4)) == 1
+
+
+def test_trajectory_copies_its_inputs():
+    means, covariances = np.zeros((2, 4)), np.stack([np.eye(4)] * 2)
+    trajectory = Trajectory(times=np.arange(2.0), means=means,
+                            covariances=covariances)
+    covariances[1, 0, 0] = 0.0
+    assert trajectory.covariances[1, 0, 0] == 1.0
+    for array in (trajectory.times, trajectory.means, trajectory.covariances):
+        assert not array.flags.writeable
+    assert trajectory._violation is trajectory._violation is None
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

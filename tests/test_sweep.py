@@ -615,14 +615,14 @@ def test_compare_without_omega_b_has_no_semiclassical_value(scaled):
 
 
 def test_compare_solves_the_paper_system_in_hz(caplog):
-    # The figure system as configured: n_a0 = 20 and rates in Hz.  The full
-    # model stays on the preconditioned route, as it does at omega_a = 1.
+    # The figure system as configured: n_a0 = 20 and rates in Hz.  Both
+    # models stay on the preconditioned route, as they do at omega_a = 1.
     with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
         report = compare(cli.FIGURE_BASE, fock.OracleConfig(dims=(14, 7)),
                          omega_b=cli.FIGURE_OMEGA_B)
     full, rwa = [r.getMessage() for r in caplog.records
                  if r.name == "modcool.fock"]
-    assert "route=krylov " in full and "route=lu " in rwa
+    assert "route=krylov " in full and "route=krylov " in rwa
     assert report.spec.n_a0 == 20.0
     occ = report.occupations
     assert occ["oracle-full"] == pytest.approx(occ["gaussian"], rel=1e-8)
@@ -678,21 +678,26 @@ def test_compare_solves_each_right_hand_side_once(scaled, monkeypatch):
     # No eigensolver loop: each model's even sector solves the state and its
     # bound, and its odd sector the bound.  The full model solves none of the
     # RWA model's right-hand sides, and the oracle column solves only its
-    # own model's.
+    # own model's.  A sector's block tells the models apart: the RWA block
+    # is the full one's k-keeping part, with fewer nonzeros.
+    config = fock.OracleConfig(dims=(8, 4))
+    generator = fock.build_generator(scaled, config)
+    full, rwa = (fock._split(model) for model in (generator, generator.rwa))
+    assert all(r.block.nnz < f.block.nnz for f, r in zip(full, rwa))
     solves = []
     sector_solve = fock._sector_solve
 
-    def counted_sector_solve(full, factor, sector, requests, iterations):
-        solves.append([full, len(requests)])
-        return sector_solve(full, factor, sector, requests, iterations)
+    def counted_sector_solve(factor, sector, requests, iterations):
+        solves.append([sector.block.nnz, len(requests)])
+        return sector_solve(factor, sector, requests, iterations)
 
     monkeypatch.setattr(fock, "_sector_solve", counted_sector_solve)
-    config = fock.OracleConfig(dims=(8, 4))
     compare(scaled, config)
-    assert solves == [[True, 2], [True, 1], [False, 2], [False, 1]]
+    assert solves == [[full[0].block.nnz, 2], [full[1].block.nnz, 1],
+                      [rwa[0].block.nnz, 2], [rwa[1].block.nnz, 1]]
     solves.clear()
     sweep.solve_point(scaled, ("oracle",), config, None, scaled.delta)
-    assert solves == [[True, 2], [True, 1]]
+    assert solves == [[full[0].block.nnz, 2], [full[1].block.nnz, 1]]
 
 
 def test_compare_reads_the_oracle_pair_as_the_table_oracle_does(scaled):
