@@ -345,7 +345,8 @@ solvers = gaussian
     out = tmp_path / "blue.csv"
     assert main(["sweep", "--config", config, "--out", str(out)]) == 2
     text = out.read_text()
-    assert "unstable" in text
+    # gaussian.steady_state's own refusal is the row's diagnostic.
+    assert "StabilityError: drift is not Hurwitz" in text
 
 
 def test_programming_errors_are_not_solver_errors(tmp_path, monkeypatch):
