@@ -38,6 +38,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import idamax
 from scipy.sparse.linalg import splu
 
 from .model import SystemSpec, _require_finite, angular_rates
@@ -423,7 +424,10 @@ def _gmres_solver(block: sp.csr_matrix, factor, iterations: list[int]):
     orthogonalises by two block classical Gram-Schmidt passes.  A cycle ends
     when its Givens estimate of |rhs - B x| meets rtol |rhs|, or after 30
     iterations; the solve returns once the true residual, computed there,
-    does.  Each iteration adds one to ``iterations[-1]``.  It raises
+    does.  Where the first iteration finds |v_0 - B Z_0| <= rtol, as an
+    exact factor does, it returns ``|rhs| Z_0`` once one true-residual
+    product confirms the stop, with no Gram-Schmidt, rotation or triangular
+    solve.  Each iteration adds one to ``iterations[-1]``.  It raises
     :class:`_KrylovFailed` at ``budget`` iterations, or on starting a cycle
     when the last cycle's reduction of the residual, repeated, would not
     reach rtol |rhs| within the budget: the residual is in the unit of rhs,
@@ -452,6 +456,11 @@ def _gmres_solver(block: sp.csr_matrix, factor, iterations: list[int]):
                 iterations[-1] += 1
                 z[j] = factor.solve(v[j])
                 w = block @ z[j]
+                if (j == 0 and len(ends) == 1
+                        and np.linalg.norm(v[0] - w) <= rtol):
+                    first = ends[0] * z[0]  # as from an exact factor
+                    if np.linalg.norm(rhs - block @ first) <= target:
+                        return first
                 h = (v[:j + 1] @ w.conj()).conj()
                 w -= h @ v[:j + 1]
                 again = (v[:j + 1] @ w.conj()).conj()
@@ -663,6 +672,12 @@ def steady_state(generator: FockGenerator) -> DensityState:
     return state
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """max|x| of a real ``x`` in one pass, with no |x| temporary; for a
+    finite ``x`` the same float as ``max(x.max(), -x.min())``."""
+    return abs(x[idamax(x)])
+
+
 def _taylor_steps(real: sp.csr_matrix, v: np.ndarray, dt: float,
                   num_points: int) -> tuple[np.ndarray, int, int]:
     """``expm(real k dt) v`` for k < ``num_points``, with the substeps per
@@ -672,7 +687,11 @@ def _taylor_steps(real: sp.csr_matrix, v: np.ndarray, dt: float,
     Sci. Comput. 33, 488 (2011)), its rule fixed once for the uniform step:
     ``A = real - mu I`` with mu = tr(real)/n, s = ceil(dt |A|_1 / theta_55)
     substeps of at most 55 terms, each ended when the last two terms fall
-    below 2^-53 of the partial sum in the max norm.
+    below 2^-53 of the partial sum in the max norm.  Each term costs one
+    product and one max-norm pass: ``bound`` = max|start| + the sum of
+    max|term| bounds the partial sum's max norm (the factor 2 below covers
+    the rounding of the running sum), so where ``previous + current > 2^-52
+    bound`` the stop fails, and that norm is taken only elsewhere.
     """
     n = v.size
     mu = real.diagonal().sum() / n
@@ -685,21 +704,19 @@ def _taylor_steps(real: sp.csr_matrix, v: np.ndarray, dt: float,
     snapshots[0] = v
     total = v.copy()
     matvecs = 0
-
-    def max_abs(x: np.ndarray) -> float:  # of a real x, with no |x| temporary
-        return max(x.max(), -x.min())
-
     for k in range(1, num_points):
         for _ in range(substeps):
             term = total
-            previous = max_abs(term)
+            previous = bound = _max_abs(term)
             for j in range(1, _TAYLOR_DEGREE + 1):
                 term = shifted @ term
                 term *= h / j
                 matvecs += 1
-                current = max_abs(term)
+                current = _max_abs(term)
                 total += term
-                if previous + current <= 2.0 ** -53 * max_abs(total):
+                bound += current
+                if (previous + current <= 2.0 ** -52 * bound
+                        and previous + current <= 2.0 ** -53 * _max_abs(total)):
                     break
                 previous = current
             total *= scale

@@ -361,6 +361,50 @@ def test_each_gmres_iteration_makes_one_rwa_factor_solve(
         assert requests == [1, 1, 1] and len(solves) == 3
 
 
+def test_rwa_requests_take_one_factor_solve_and_no_triangular_solve(
+        monkeypatch, caplog):
+    # The RWA factor is exact for its own model: the first iterate
+    # |rhs| M^-1 v_0 meets the true-residual stop, and GMRES returns it with
+    # no Gram-Schmidt, rotation or triangular solve.  The full model, which
+    # the factor only preconditions, iterates as before.
+    solves, triangular, residuals = [], [], []
+    mirror_solve, gmres = fock._MirrorFactor.solve, fock._gmres_solver
+    solve_triangular = fock.solve_triangular
+
+    def counted_solve(self, rhs):
+        solves.append(rhs)
+        return mirror_solve(self, rhs)
+
+    def counted_triangular(*args, **kwargs):
+        triangular.append(args)
+        return solve_triangular(*args, **kwargs)
+
+    def recorded_gmres(block, factor, iterations):
+        solve = gmres(block, factor, iterations)
+
+        def recorded(rhs, rtol, budget):
+            x = solve(rhs, rtol, budget)
+            residuals.append((np.linalg.norm(rhs - block @ x)
+                              / np.linalg.norm(rhs), rtol))
+            return x
+
+        return recorded
+
+    monkeypatch.setattr(fock._MirrorFactor, "solve", counted_solve)
+    monkeypatch.setattr(fock, "solve_triangular", counted_triangular)
+    monkeypatch.setattr(fock, "_gmres_solver", recorded_gmres)
+    generator = build_generator(SCALED_BASE, OracleConfig(dims=(14, 7)))
+    _, fields = logged_solve(caplog, generator)
+    assert fields["requests"] == "11,6,6"
+    assert len(solves) == 23 and triangular
+    del solves[:], triangular[:], residuals[:]
+    _, fields = logged_solve(caplog, generator.rwa)
+    assert fields["route"] == "krylov" and fields["requests"] == "1,1,1"
+    assert len(solves) == 3 and not triangular
+    assert residuals[0][1] == fock._GMRES_RTOL
+    assert all(residual <= rtol for residual, rtol in residuals)
+
+
 def test_dixon_probe_is_shared_and_read_only():
     v, rtol = fock._dixon_probe(50, True)
     assert fock._dixon_probe(50, True)[0] is v
@@ -971,7 +1015,7 @@ def test_evolve_at_relaxation_point_matches_expm_multiply(caplog):
     with caplog.at_level(logging.DEBUG, logger="modcool.fock"):
         trajectory = evolve(generator, initial, 5.0 / SCALED_BASE.kappa0,
                             num_points=50)
-    assert int(evolve_log_fields(caplog)["matvecs"]) <= 6700
+    assert int(evolve_log_fields(caplog)["matvecs"]) == 6596
     assert_matches_expm_multiply(generator, initial, trajectory)
 
 
@@ -993,6 +1037,83 @@ def test_evolve_matches_expm_multiply_on_random_specs(
                else thermal_density(dims, 0.3, 0.2))
     assert_matches_expm_multiply(generator, initial, evolve(
         generator, initial, duration, num_points))
+
+
+def reference_taylor_steps(real, v, dt, num_points):
+    """The loop of :func:`fock._taylor_steps` with both max norms, of the
+    new term and of the partial sum, scanned in full at every term: the
+    reference whose stops, products and bits it must match."""
+    n = v.size
+    mu = real.diagonal().sum() / n
+    shifted = (real - mu * sp.identity(n, format="csr")).tocsr()
+    norm = float(abs(shifted).sum(axis=0).max())
+    substeps = max(1, math.ceil(dt * norm / fock._TAYLOR_THETA))
+    h = dt / substeps
+    scale = math.exp(mu * h)
+    snapshots = np.empty((num_points, n))
+    snapshots[0] = v
+    total = v.copy()
+    matvecs = 0
+
+    def max_abs(x):
+        return max(x.max(), -x.min())
+
+    for k in range(1, num_points):
+        for _ in range(substeps):
+            term = total
+            previous = max_abs(term)
+            for j in range(1, fock._TAYLOR_DEGREE + 1):
+                term = shifted @ term
+                term *= h / j
+                matvecs += 1
+                current = max_abs(term)
+                total += term
+                if previous + current <= 2.0 ** -53 * max_abs(total):
+                    break
+                previous = current
+            total *= scale
+        snapshots[k] = total
+    return snapshots, substeps, matvecs
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dims=st.tuples(st.integers(3, 5), st.integers(2, 4)),
+       rates=st.lists(st.floats(0.0, 2.0), min_size=5, max_size=5),
+       closed=st.booleans(), odd=st.booleans(),
+       start=st.sampled_from(["state", "zero", "negative"]),
+       duration=st.floats(0.1, 20.0), num_points=st.integers(2, 30))
+def test_taylor_steps_decide_as_the_full_scan_loop(
+        dims, rates, closed, odd, start, duration, num_points):
+    # The partial sum's max norm is skipped only where the stop must fail,
+    # and each max norm takes one pass: every product, stop and bit of the
+    # loop that scans both norms in full stays as it was.
+    omega_a, delta, g, gamma0, kappa0 = rates
+    if closed:
+        gamma0 = kappa0 = 0.0
+    spec = SystemSpec(omega_a=omega_a + 0.1, delta=-delta, g=g, gamma0=gamma0,
+                      kappa0=kappa0, n_a0=0.2, n_b0=0.1)
+    generator = build_generator(spec, OracleConfig(dims=dims,
+                                                   tail_threshold=0.9))
+    n = dims[0] * dims[1]
+    (sector,) = fock._split(generator, (int(odd),), pinned=False)
+    _, inverse, real = fock._real_form(sector.index, sector.block, n)
+    if start == "state":
+        initial = (mixed_parity_state(dims) if odd
+                   else thermal_density(dims, 0.3, 0.2))
+        v = (inverse @ initial.matrix.reshape(-1, order="F")[
+            sector.index]).real
+    else:
+        v = np.zeros(real.shape[0])
+        if start == "negative":  # its max norm on a negative entry
+            v = np.random.default_rng(n).standard_normal(v.size)
+            v[v.size // 2] = -2 * np.abs(v).max()
+    dt = duration / (num_points - 1)
+    snapshots, substeps, matvecs = fock._taylor_steps(real, v.copy(), dt,
+                                                      num_points)
+    expected, expected_substeps, expected_matvecs = reference_taylor_steps(
+        real, v.copy(), dt, num_points)
+    assert np.array_equal(snapshots, expected)
+    assert (substeps, matvecs) == (expected_substeps, expected_matvecs)
 
 
 def test_evolve_rejects_non_hermiticity_preserving_generator():
