@@ -154,8 +154,7 @@ def _figure_rows(solvers: tuple[str, ...], grid: np.ndarray,
 
 
 def _cmd_figure(args) -> int:
-    grid = (np.linspace(-1.5, -0.5, 201) * FIGURE_BASE.omega_a
-            if args.grid is None else sweep.parse_grid(args.grid, "delta"))
+    grid = np.linspace(-1.5, -0.5, 201) * FIGURE_BASE.omega_a
     rows, labels = _figure_rows(args.solvers, grid, args.omega_b)
     _write_text(args.out, sweep.render_csv(rows, labels))
     return 0
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
              ("analytic", "semiclassical"), FIGURE_OMEGA_B)):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--grid", help="override grid, 'start:stop:n' with units")
         p.set_defaults(func=_cmd_figure, solvers=solvers, omega_b=omega_b)
 
     p = sub.add_parser("compare", help="cross-solver comparison at one point")

@@ -3,11 +3,12 @@
 The rotating-frame Hamiltonian H with the bilinear coupling and the local
 thermal jumps c at rates r_c form one sparse Liouvillian ``L rho = -i (H_eff
 rho - rho H_eff^dag) + sum_c r_c c rho c^dag``, ``H_eff = H - (i/2) sum_c r_c
-c^dag c``, on column-stacked density matrices, written entry by entry from
-index arithmetic; its entries that keep k = N(i) - N(j) of |i><j| form the
-exchange-only (RWA) model.  The module verifies the Gaussian solver and the
-closed forms by a completely independent route.  ``L`` is the direct sum of
-its even-k and odd-k blocks, each laid out as [k = 0 | k > 0 | mirrors of k >
+c^dag c``, on column-stacked density matrices, summed from shifted diagonals
+written by index arithmetic; the exchange-only (RWA) model drops the pair-
+creation terms, so it is the part of the full ``L`` that keeps k = N(i) -
+N(j) of |i><j|.  The module verifies the Gaussian solver and the closed
+forms by a completely independent route.  ``L`` is the direct sum of its
+even-k and odd-k blocks, each laid out as [k = 0 | k > 0 | mirrors of k >
 0].  Each model splits its own ``L``; the RWA model keeps its LU, factored in
 its k >= 0 parts only (the k < 0 parts are their conjugate mirrors), which
 right-preconditions the module's own GMRES, one factor solve per iteration,
@@ -32,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -146,18 +147,22 @@ class TailReport:
 
 @dataclass(frozen=True)
 class FockGenerator:
-    """Sparse Liouvillian of one spec/config pair (angular units, 1/s)."""
+    """Sparse Liouvillian of one spec/config pair (angular units, 1/s): the
+    pair is the model, and ``matrix`` is assembled from it
+    (:func:`_liouvillian`)."""
 
     spec: SystemSpec
     config: OracleConfig
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", _liouvillian(self.spec, self.config))
 
     @cached_property
     def rwa(self) -> FockGenerator:
         """This model without the pair-creation term; kept, with its factors."""
-        config = replace(self.config, include_counter_rotating=False)
-        matrix = _exchange_part(self.matrix, _layout(config.dims)[0])
-        return FockGenerator(spec=self.spec, config=config, matrix=matrix)
+        return FockGenerator(self.spec, replace(
+            self.config, include_counter_rotating=False))
 
     @cached_property
     def _sectors(self) -> list[_Sector]:
@@ -187,41 +192,28 @@ def build_generator(spec: SystemSpec, config: OracleConfig) -> FockGenerator:
     ``L rho = -i (H_eff rho - rho H_eff^dag) + sum_c r_c c rho c^dag``,
     ``H_eff = H - (i/2) sum_c r_c c^dag c`` (Dalibard, Castin and Molmer, PRL
     68, 580 (1992)).  H (angular units): omega_a a^dag a - delta b^dag b plus
-    the bilinear coupling g (a + a^dag)(b + b^dag).  Jumps c: local thermal
-    damping at gamma0 and kappa0, bath occupations n_a0 and n_b0, where r_c >
-    0.  Each entry is written from index arithmetic (:func:`_liouvillian`).
-    Without ``config.include_counter_rotating`` only the excitation-exchange
-    part of the coupling stays: :func:`_exchange_part`.
+    the bilinear coupling g (a + a^dag)(b + b^dag), or without
+    ``config.include_counter_rotating`` only its excitation-exchange part g
+    (a^dag b + a b^dag).  Jumps c: local thermal damping at gamma0 and
+    kappa0, bath occupations n_a0 and n_b0, where r_c > 0.  L is summed
+    from one shifted diagonal per term (:func:`_liouvillian`).
     """
-    full = replace(config, include_counter_rotating=True)
-    generator = FockGenerator(spec, full, _liouvillian(spec, config.dims))
-    return generator if config.include_counter_rotating else generator.rwa
+    return FockGenerator(spec, config)
 
 
-def _exchange_part(matrix: sp.csr_matrix, k: np.ndarray) -> sp.csr_matrix:
-    """The entries of a CSR Liouvillian whose row and column have the same
-    k (:func:`_layout`).  The pair-creation terms a b and a^dag b^dag move k
-    by +-2 and every other term keeps it, so these are exactly the entries
-    of the exchange-only (RWA) model."""
-    keep = np.flatnonzero(np.repeat(k, np.diff(matrix.indptr))
-                          == k[matrix.indices])
-    return sp.csr_matrix((matrix.data[keep], matrix.indices[keep],
-                          np.searchsorted(keep, matrix.indptr)),
-                         shape=matrix.shape)
-
-
-def _liouvillian(spec: SystemSpec, dims: tuple[int, int]) -> sp.csr_matrix:
-    """:func:`build_generator`'s L, entry by entry, with int32 indices.
+def _liouvillian(spec: SystemSpec, config: OracleConfig) -> sp.csr_matrix:
+    """:func:`build_generator`'s L as the sum of its shifted diagonals.
 
     A ladder operator c has one entry per row s, ``amp[s]`` at column s +
-    shift (zero past the truncation).  With E the diagonal of H_eff and C = (a
-    + a^dag)(b + b^dag), each term moves |i><j|, at p = i + n j of vec(rho),
-    by one shift: -i (E_i - conj(E_j)) at p; -i g C_{i,i+o} at p + o and i g
+    shift (zero past the truncation).  With E the diagonal of H_eff and C the
+    coupling, each term moves |i><j|, at p = i + n j of vec(rho), by one
+    shift: -i (E_i - conj(E_j)) at p; -i g C_{i,i+o} at p + o and i g
     C_{j,j+o} at p + n o for each shift o of C; r_c c_{i,i+o} c_{j,j+o} at p
-    + (n + 1) o for a jump of shift o.  The shifts are distinct: sorted, they
-    sort each row's columns.
+    + (n + 1) o for a jump of shift o.  The shifts are distinct, so each is
+    one diagonal: 13 of them, 9 without the pair-creation terms a b and
+    a^dag b^dag, whose two shifts have the same sign.
     """
-    (n_a, n_b), n = dims, dims[0] * dims[1]
+    (n_a, n_b), n = config.dims, config.dims[0] * config.dims[1]
     omega_a, delta, g, gamma0, kappa0 = angular_rates(spec)
     level_a, level_b = np.divmod(np.arange(n), n_b)
     a, a_dag, b, b_dag = (
@@ -240,20 +232,22 @@ def _liouvillian(spec: SystemSpec, dims: tuple[int, int]) -> sp.csr_matrix:
     terms = [(0, -1j * (energy - energy.conj()[:, None]))]
     for shift_a, amp_a in (a, a_dag):
         for shift_b, amp_b in (b, b_dag):
+            pair_creation = (shift_a > 0) == (shift_b > 0)  # a b, a^dag b^dag
+            if pair_creation and not config.include_counter_rotating:
+                continue
             coupling, shift = g * amp_a * amp_b, shift_a + shift_b
             terms += [(shift, -1j * coupling),
                       (n * shift, 1j * coupling[:, None])]
     terms += [((n + 1) * shift, rate * np.outer(amp, amp))
               for rate, (shift, amp) in jumps]
-    terms.sort(key=lambda term: term[0])
-    values = np.stack([np.broadcast_to(value, (n, n)) for _, value in terms],
-                      axis=-1).reshape(n * n, -1)  # row p, a column per term
-    nonzero = values != 0
-    columns = np.arange(n * n, dtype=np.int32)[:, None] + np.array(
-        [shift for shift, _ in terms], dtype=np.int32)
-    counts = np.count_nonzero(nonzero, axis=1)
-    return sp.csr_matrix((values[nonzero], columns[nonzero], np.concatenate(
-        ([0], np.cumsum(counts, dtype=np.int32)))), shape=(n * n, n * n))
+    # Row p of the diagonal at offset o holds the value of p; the rows whose
+    # column p + o falls outside L, where the values are zero, are cut off.
+    diagonals = [np.broadcast_to(value, (n, n)).ravel()[
+        max(0, -shift):n * n - max(0, shift)] for shift, value in terms]
+    matrix = sp.diags(diagonals, [shift for shift, _ in terms],
+                      shape=(n * n, n * n), format="csr", dtype=complex)
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:

@@ -351,9 +351,11 @@ _RATE_NAMES = {"gaussian": "gamma0 + Gamma_c"}
 
 def check_solvers(solvers: tuple[str, ...], oracle_config) -> None:
     """Raise :class:`ConfigError` unless every solver can run in the config."""
-    for solver in solvers:
+    for place, solver in enumerate(solvers):
         if solver not in _SOLVERS:
             raise ConfigError(f"unknown solver {solver!r}")
+        if solver in solvers[:place]:
+            raise ConfigError(f"solver {solver!r} is listed twice")
     if not solvers:
         raise ConfigError("at least one solver must be selected")
     if "oracle" in solvers and oracle_config is None:

@@ -168,6 +168,9 @@ def test_figure_commands_take_no_config(tmp_path, capsys, command):
     config = write(tmp_path, "system.ini", SYSTEM_CONFIG)
     assert main([command, "--config", config]) == 1
     assert "--config" in capsys.readouterr().err
+    # Nor a grid: each figure is its fixed 201-point detuning grid.
+    assert main([command, "--grid", "-30 MHz:-10 MHz:11"]) == 1
+    assert "--grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -26,7 +26,10 @@ from modcool.fock import (
     truncation_check,
 )
 
+from conftest import FAR_APART, exact_occupation
+
 TWO_PI = 2 * math.pi
+ASSEMBLED_LIOUVILLIAN = fock._liouvillian
 
 
 def rwa_resonant_occupation(spec):
@@ -68,6 +71,18 @@ def test_steady_state_matches_gaussian_solver(scaled):
     lyapunov_b = gaussian.occupation(
         gaussian.steady_state(gaussian.build_drift(scaled)), "b")
     assert mode_occupation(state, "b") == pytest.approx(lyapunov_b, rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the state solve stops at the GMRES rtol, and where sigma_min of the "
+    "pinned even block is 1e-12 of max|L| that leaves n_a 2.4e-3 off while "
+    "every check passes; refining the state mends it (ROADMAP: 'The "
+    "oracle knows its own error')"))
+@pytest.mark.parametrize("dims", [(4, 3), (6, 3), (8, 4), (10, 5)])
+def test_steady_state_is_exact_where_rates_are_far_apart(dims):
+    exact = exact_occupation(gaussian.build_drift(FAR_APART))
+    state = steady_state(build_generator(FAR_APART, OracleConfig(dims=dims)))
+    assert mode_occupation(state, "a") == pytest.approx(exact, rel=1e-7)
 
 
 def test_rwa_steady_state_matches_closed_form(scaled):
@@ -155,6 +170,23 @@ def pinned_direct_solve(generator):
     rhs = np.zeros(n * n, dtype=complex)
     rhs[0] = 1.0
     return spsolve(pinned.tocsc(), rhs).reshape((n, n), order="F")
+
+
+def altered_liouvillian(monkeypatch, alter):
+    """Make every generator built from here on hold ``alter(L, config)``
+    in place of its assembled L, the way a faulty assembly would."""
+    monkeypatch.setattr(fock, "_liouvillian", lambda spec, config: alter(
+        ASSEMBLED_LIOUVILLIAN(spec, config), config))
+
+
+def scaled_columns(columns, scale):
+    """An ``alter`` of :func:`altered_liouvillian`: ``columns`` of L times
+    ``scale``."""
+    def alter(matrix, _config):
+        matrix = matrix.tolil()
+        matrix[:, columns] = scale * matrix[:, columns]
+        return matrix.tocsr()
+    return alter
 
 
 def logged_solve(caplog, generator):
@@ -429,7 +461,8 @@ def test_positivity_check_rejects_only_below_the_tolerance(floor, rejected):
 @pytest.mark.parametrize("scale", [0.0, 1e-13])
 @pytest.mark.parametrize("g, counter_rotating", [
     (0.02, True), (0.2, True), (0.2, False)])
-def test_traceless_odd_kernel_is_degenerate(g, counter_rotating, scale):
+def test_traceless_odd_kernel_is_degenerate(g, counter_rotating, scale,
+                                            monkeypatch):
     # A zero column makes its basis element |i><j| (k odd) stationary, a
     # tiny one nearly so; its mirror |j><i| is scaled alike, so that L still
     # preserves Hermiticity.  The even sector, where the state comes from,
@@ -438,29 +471,25 @@ def test_traceless_odd_kernel_is_degenerate(g, counter_rotating, scale):
                       kappa0=0.3, n_a0=0.05, n_b0=0.0)
     config = OracleConfig(dims=(6, 4), include_counter_rotating=counter_rotating,
                           tail_threshold=1e-4)
-    matrix = build_generator(spec, config).matrix.tolil()
-    for column in mirror_pair(parity_sectors(config.dims)[1][3], config.dims):
-        matrix[:, column] = scale * matrix[:, column]
-    generator = fock.FockGenerator(spec=spec, config=config,
-                                   matrix=matrix.tocsr())
+    columns = list(mirror_pair(parity_sectors(config.dims)[1][3], config.dims))
+    altered_liouvillian(monkeypatch, scaled_columns(columns, scale))
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state(generator)
+        steady_state(build_generator(spec, config))
 
 
 @pytest.mark.parametrize("counter_rotating", [True, False])
-def test_generator_that_breaks_hermiticity_is_rejected(counter_rotating):
+def test_generator_that_breaks_hermiticity_is_rejected(counter_rotating,
+                                                       monkeypatch):
     # L(rho^dag) = L(rho)^dag makes the RWA model's k < 0 blocks the
     # conjugates of their mirrors, and its factor solves them so.  Neither
     # i L nor L with one coherence column scaled keeps that.
     config = OracleConfig(dims=(6, 4), include_counter_rotating=counter_rotating,
                           tail_threshold=1e-4)
-    matrix = build_generator(SECTOR_SPEC, config).matrix
-    scaled = matrix.tolil()
     column = parity_sectors(config.dims)[1][3]
-    scaled[:, column] = 1e-13 * scaled[:, column]
-    for broken in (1j * matrix, scaled):
-        generator = fock.FockGenerator(spec=SECTOR_SPEC, config=config,
-                                       matrix=broken.tocsr())
+    for alter in (lambda matrix, _: 1j * matrix,
+                  scaled_columns(column, 1e-13)):
+        altered_liouvillian(monkeypatch, alter)
+        generator = build_generator(SECTOR_SPEC, config)
         for model in (generator, generator.rwa):
             with pytest.raises(ValueError,
                                match="does not preserve Hermiticity"):
@@ -486,13 +515,17 @@ def test_generators_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_parity_coupling_liouvillian_is_rejected(scaled):
+def test_parity_coupling_liouvillian_is_rejected(scaled, monkeypatch):
     config = OracleConfig(dims=(4, 3))
-    matrix = build_generator(scaled, config).matrix.tolil()
     even, odd = parity_sectors(config.dims)
-    matrix[even[1], odd[0]] = 1e-3
-    generator = fock.FockGenerator(spec=scaled, config=config,
-                                   matrix=matrix.tocsr())
+
+    def couple(matrix, _config):
+        matrix = matrix.tolil()
+        matrix[even[1], odd[0]] = 1e-3
+        return matrix.tocsr()
+
+    altered_liouvillian(monkeypatch, couple)
+    generator = build_generator(scaled, config)
     with pytest.raises(ValueError, match="even and odd"):
         steady_state(generator)
     with pytest.raises(ValueError, match="even and odd"):
@@ -513,11 +546,26 @@ def test_liouvillian_changes_k_by_zero_or_two(dims, rates, counter_rotating):
     k = excitation_difference(dims)
     allowed = {-2, 0, 2} if counter_rotating else {0}
     assert set(np.unique(k[rows] - k[cols])) <= allowed
-    # The RWA model is exactly the full one's excitation-conserving part.
+    # The RWA model, assembled without the pair-creation terms, is bit for
+    # bit the full one's excitation-conserving part.
     full = build_generator(spec, replace(
-        config, include_counter_rotating=True)).matrix.toarray()
-    full[k[:, None] != k[None, :]] = 0.0
-    assert np.array_equal(generator.rwa.matrix.toarray(), full)
+        config, include_counter_rotating=True)).matrix.copy()
+    full.data[np.repeat(k, np.diff(full.indptr)) != k[full.indices]] = 0.0
+    full.eliminate_zeros()
+    rwa = generator.rwa.matrix
+    for part in ("indptr", "indices", "data"):
+        assert getattr(rwa, part).tobytes() == getattr(full, part).tobytes()
+
+
+def test_generators_compare_and_hash_as_their_spec_and_config():
+    config = OracleConfig(dims=(3, 2))
+    one, two = (build_generator(SCALED_BASE, config) for _ in range(2))
+    assert one is not two and one == two and hash(one) == hash(two)
+    rwa = fock.FockGenerator(SCALED_BASE, replace(
+        config, include_counter_rotating=False))
+    assert one.rwa == rwa != one and len({one, two, one.rwa, rwa}) == 2
+    assert repr(one) == (f"FockGenerator(spec={SCALED_BASE!r}, "
+                         f"config={config!r})")
 
 
 def layout_parts(sector, dims):
@@ -594,7 +642,7 @@ def test_rwa_k_negative_blocks_mirror_the_k_positive_ones(
     for cut, sector in zip(fock._split(generator), own, strict=True):
         assert np.array_equal(cut.index, sector.index)
         assert np.array_equal(
-            fock._exchange_part(cut.block, cut.k).toarray(),
+            np.where(np.equal.outer(cut.k, cut.k), cut.block.toarray(), 0),
             sector.block.toarray())
         zero, plus = layout_parts(sector, dims)
         block = sector.block.toarray()
@@ -745,13 +793,9 @@ def test_singular_rwa_preconditioner_falls_back_to_full_lu(monkeypatch,
                                                            caplog):
     spec = SystemSpec(omega_a=1.0, delta=-1.0, g=0.1, gamma0=0.05,
                       kappa0=0.3, n_a0=0.5, n_b0=0.0)
+    altered_liouvillian(monkeypatch, lambda matrix, config: (
+        matrix if config.include_counter_rotating else 0 * matrix))
     generator = build_generator(spec, OracleConfig(dims=(10, 7)))
-    exchange_part = fock._exchange_part
-
-    def zero_rwa_part(matrix, dims):
-        return 0 * exchange_part(matrix, dims)
-
-    monkeypatch.setattr(fock, "_exchange_part", zero_rwa_part)
     state, fields = logged_solve(caplog, generator)
     assert fields["route"] == "lu-fallback"
     assert np.max(np.abs(state.matrix
@@ -1116,10 +1160,9 @@ def test_taylor_steps_decide_as_the_full_scan_loop(
     assert (substeps, matvecs) == (expected_substeps, expected_matvecs)
 
 
-def test_evolve_rejects_non_hermiticity_preserving_generator():
-    generator = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
-    rotated = fock.FockGenerator(spec=SECTOR_SPEC, config=SECTOR_CONFIG,
-                                 matrix=(1j * generator.matrix).tocsr())
+def test_evolve_rejects_non_hermiticity_preserving_generator(monkeypatch):
+    altered_liouvillian(monkeypatch, lambda matrix, _: 1j * matrix)
+    rotated = build_generator(SECTOR_SPEC, SECTOR_CONFIG)
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
         evolve(rotated, thermal_density(SECTOR_CONFIG.dims, 0.1, 0.0), 1.0)
 

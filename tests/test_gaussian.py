@@ -5,7 +5,6 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from modcool.gaussian import (
     thermal_state,
 )
 
-from conftest import BENCHMARK, SCALED
+from conftest import BENCHMARK, FAR_APART, SCALED, exact_occupation
 
 TWO_PI = 2 * math.pi
 
@@ -268,37 +267,6 @@ def test_lyapunov_residual_contract():
         assert physicality_margin(state) >= -1e-9
 
 
-def exact_occupation(model):
-    """Beam occupation of the exact solution of A V + V A^T + D = 0.
-
-    A stdlib ``fractions`` elimination of the 16 x 16 vectorised system,
-    (AV + VA^T)[i, k] = sum_j A[i, j] V[j, k] + V[i, j] A[k, j], at the float
-    drift and diffusion, so it shares no rounding with the solver.
-    """
-    a = [[Fraction(x) for x in row] for row in model.drift.tolist()]
-    rows = []
-    for i in range(4):
-        for k in range(4):
-            row = [Fraction(0)] * 17
-            for j in range(4):
-                row[4 * j + k] += a[i][j]
-                row[4 * i + j] += a[k][j]
-            row[16] = -Fraction(model.diffusion[i, k])
-            rows.append(row)
-    for col in range(16):
-        pivot = next(r for r in range(col, 16) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(col + 1, 16):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    v = [Fraction(0)] * 16
-    for r in reversed(range(16)):
-        known = sum(rows[r][c] * v[c] for c in range(r + 1, 16))
-        v[r] = (rows[r][16] - known) / rows[r][r]
-    return float((v[0] + v[5] - 1) / 2)
-
-
 def relative_error(spec):
     model = build_drift(spec)
     exact = exact_occupation(model)
@@ -308,9 +276,7 @@ def relative_error(spec):
 def test_steady_state_is_exact_where_rates_are_far_apart():
     # gamma0 is 2.7e-12 of omega_a: a Bartels-Stewart solve returned n_a
     # 7.9e-4 low here while meeting a residual test relative to ||D||.
-    spec = SystemSpec(omega_a=0.2, delta=-0.1842, g=3.24e-7, gamma0=5.49e-13,
-                      kappa0=0.01204, n_a0=0.00487, n_b0=2.09e-4)
-    assert relative_error(spec) <= 1e-12
+    assert relative_error(FAR_APART) <= 1e-12
 
 
 def test_steady_state_matches_exact_solve_on_realistic_draws():

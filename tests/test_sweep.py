@@ -324,6 +324,12 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(base=BENCHMARK, parameter="delta", grid=np.array([1.0]),
                   solvers=("oracle",))
+    # A repeated solver would write its columns twice under one header.
+    with pytest.raises(ConfigError, match="'analytic' is listed twice"):
+        SweepSpec(base=BENCHMARK, parameter="delta", grid=np.array([1.0]),
+                  solvers=("analytic", "gaussian", "analytic"))
+    with pytest.raises(ConfigError, match="listed twice"):
+        sweep.check_solvers(("analytic", "analytic"), None)
 
 
 @pytest.mark.parametrize("parameter, grid", [
@@ -653,9 +659,9 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     builds, splits, factored = [], [], []
     liouvillian, split, splu = fock._liouvillian, fock._split, fock.splu
 
-    def counted_liouvillian(spec, dims):
-        builds.append(dims)
-        return liouvillian(spec, dims)
+    def counted_liouvillian(spec, config):
+        builds.append(config.include_counter_rotating)
+        return liouvillian(spec, config)
 
     def counted_split(generator, *args, **kwargs):
         splits.append(generator.config.include_counter_rotating)
@@ -670,9 +676,10 @@ def test_compare_builds_and_factors_the_rwa_model_once(scaled, monkeypatch):
     monkeypatch.setattr(fock, "splu", counted_splu)
     config = fock.OracleConfig(dims=(8, 4))
     report = compare(scaled, config)
-    # One assembly, and one split per model: the RWA model is the full one's
-    # k-keeping part, and it splits its own blocks beside its factors.
-    assert builds == [(8, 4)]
+    # One assembly and one split per model: the RWA model is assembled
+    # without the pair-creation terms, and it splits its own blocks beside
+    # its factors.
+    assert builds == [True, False]
     assert splits == [True, False]
     # The RWA model's factors, also the full model's preconditioners: the
     # k = 0 block of the even sector, then the union of the k > 0 blocks of
