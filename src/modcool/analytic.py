@@ -69,7 +69,11 @@ def final_occupation(spec: SystemSpec) -> float:
     well-defined when the cooling rate is comparable to the intrinsic
     linewidth; it raises where gamma0 + Gamma_c <= 0 (no stationary state).
     """
-    rate = cooling_rate(spec)
+    return _rate_balance(spec, cooling_rate(spec))
+
+
+def _rate_balance(spec: SystemSpec, rate: float) -> float:
+    """:func:`final_occupation` at the cooling rate ``rate`` of ``spec``."""
     if not rate + spec.gamma0 > 0:
         raise ValueError("no stationary occupation: gamma0 + Gamma_c <= 0")
     return ((rate * backaction_floor(spec) + spec.gamma0 * spec.n_a0)

@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for configuration errors, 2 for solver errors
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -157,7 +158,7 @@ def _cmd_figure(args) -> int:
     grid = np.linspace(-1.5, -0.5, 201) * FIGURE_BASE.omega_a
     rows, labels = _figure_rows(args.solvers, grid, args.omega_b)
     _write_text(args.out, sweep.render_csv(rows, labels))
-    return 0
+    return _exit_code(rows, labels)
 
 
 def _cmd_compare(args) -> int:
@@ -271,9 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process.
+
+    ``parse_args`` keeps no state between calls: each returns a fresh
+    namespace filled from the defaults, so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits on its own for --help (0) and usage errors; fold
         # the latter into the config-error code.

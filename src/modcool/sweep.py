@@ -290,7 +290,9 @@ _Outcome = tuple[float | None, float | None, str]
 
 
 def _solve_analytic(spec: SystemSpec, *_) -> _Outcome:
-    return analytic.cooling_rate(spec), analytic.final_occupation(spec), ""
+    # analytic.final_occupation's rate balance, on the rate already in hand.
+    rate = analytic.cooling_rate(spec)
+    return rate, analytic._rate_balance(spec, rate), ""
 
 
 def _solve_analytic_rwa(spec: SystemSpec, *_) -> _Outcome:
@@ -388,10 +390,12 @@ def solve_point(spec: SystemSpec, solvers: tuple[str, ...],
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """:func:`solve_point` on every grid point, in grid order."""
-    return [solve_point(replace(spec.base, **{spec.parameter: float(value)}),
-                        spec.solvers, spec.oracle_config, spec.omega_b,
-                        float(value))
-            for value in spec.grid]
+    # The constructor runs SystemSpec's checks on every point; tolist()
+    # gives the Python floats that the rows carry.
+    base = vars(spec.base)
+    return [solve_point(SystemSpec(**{**base, spec.parameter: value}),
+                        spec.solvers, spec.oracle_config, spec.omega_b, value)
+            for value in spec.grid.tolist()]
 
 
 def layer_note(solver: str, diagnostic: str, rate: float | None) -> str:

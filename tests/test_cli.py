@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,14 @@ damping = 2 kHz
 [drive]
 frequency = 7.48 GHz
 """
+
+
+# SHA-256 of the CSV that `modcool fig2` and `modcool fig3` print: the
+# paper's two figures, byte for byte.
+FIGURE_SHA256 = {
+    "fig2": "e00c1f3ea99cf5cfff1ad3fc6cb24651d89534774bfaef0790e7e9e20df45645",
+    "fig3": "831731402eb5158b570acc750efaf5f449fa9c4845f4630cc9034d9e85b40d2c",
+}
 
 
 def write(tmp_path, name, text):
@@ -161,6 +171,47 @@ def test_fig3_reproduction(tmp_path):
     on_sideband = int(np.argmin(np.abs(detunings + 20e6)))
     assert circuit[on_sideband] == pytest.approx(4.0e6, rel=1e-3)
     assert np.max(np.abs(circuit - quantum)) / quantum.max() < 0.01
+
+
+def figure_sha256(command, capsys):
+    assert main([command]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_figure_bytes_are_pinned(capsys, command):
+    assert figure_sha256(command, capsys) == FIGURE_SHA256[command]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert main(["fig2", "--grid", "x"]) == 1
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert figure_sha256("fig2", capsys) == FIGURE_SHA256["fig2"]
+    # An option given to one call is not a default of the next.
+    config = write(tmp_path, "sweep.ini", SWEEP_CONFIG)
+    assert main(["sweep", "--config", config, "--solvers", "analytic",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["steady", "--config", config, "--solvers",
+                 "analytic-rwa"]) == 0
+    capsys.readouterr()
+    assert main(["steady", "--config", config]) == 0
+    printed = capsys.readouterr().out
+    assert [line.split()[0] for line in printed.splitlines()] == [
+        "analytic", "gaussian"]
+
+
+def test_figure_on_which_every_row_failed_is_a_solver_error(tmp_path,
+                                                             monkeypatch):
+    def failing(spec, oracle_config, omega_b):
+        raise ValueError("no value here")
+
+    for solver in ("analytic", "analytic-rwa"):
+        monkeypatch.setitem(sweep._SOLVERS, solver, failing)
+    out = tmp_path / "fig2.csv"
+    assert main(["fig2", "--out", str(out)]) == 2
+    assert "ValueError: no value here" in out.read_text()
 
 
 @pytest.mark.parametrize("command", ["fig2", "fig3"])

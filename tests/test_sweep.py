@@ -318,6 +318,11 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(base=BENCHMARK, parameter="delta",
                   grid=np.array([1.0, 3.0, 2.0]), solvers=("analytic",))
+    # Only the endpoints are checked against SystemSpec, so a NaN inside
+    # the grid must fail the monotone check.
+    with pytest.raises(ConfigError, match="strictly monotone"):
+        SweepSpec(base=BENCHMARK, parameter="g",
+                  grid=np.array([1e6, math.nan, 3e6]), solvers=("analytic",))
     with pytest.raises(ConfigError):
         SweepSpec(base=BENCHMARK, parameter="voltage",
                   grid=np.array([1.0]), solvers=("analytic",))
@@ -356,6 +361,39 @@ def test_run_sweep_single_point_matches_direct_calls():
     assert row.rates["analytic"] == analytic.cooling_rate(BENCHMARK)
     assert row.occupations["analytic"] == analytic.final_occupation(BENCHMARK)
     assert row.diagnostics["analytic"] == ""
+
+
+# Admissible ranges of each sweepable parameter around BENCHMARK.
+SWEPT_RANGES = {"delta": (-25e6, -15e6), "g": (1e6, 3e6),
+                "kappa0": (2e6, 6e6), "gamma0": (1e3, 3e3),
+                "n_a0": (10.0, 30.0)}
+
+
+@pytest.mark.parametrize("parameter", sweep.SWEEPABLE)
+def test_run_sweep_points_are_the_base_with_the_swept_field_set(
+        parameter, monkeypatch):
+    grid = np.linspace(*SWEPT_RANGES[parameter], 7)
+    solvers = ("analytic", "analytic-rwa", "semiclassical")
+    spec = SweepSpec(base=BENCHMARK, parameter=parameter, grid=grid,
+                     solvers=solvers, omega_b=7.5e9)
+    validated = []
+    check = SystemSpec.__post_init__
+
+    def recorded_check(point):
+        validated.append(point)
+        check(point)
+
+    monkeypatch.setattr(SystemSpec, "__post_init__", recorded_check)
+    rows = run_sweep(spec)
+    monkeypatch.undo()
+    # Every point is a SystemSpec that passed its own checks.
+    assert len(validated) == grid.size
+    for row, point, value in zip(rows, validated, grid):
+        expected = replace(BENCHMARK, **{parameter: float(value)})
+        assert point == expected
+        assert type(row.value) is float and row.value == value
+        assert row == sweep.solve_point(expected, solvers, None, 7.5e9,
+                                        float(value))
 
 
 def test_run_sweep_curve_extrema():
