@@ -1,9 +1,12 @@
 """Parameter sweeps across the solver layers, comparison reports and CSV output.
 
 Configuration files are flat INI-style text with explicit unit suffixes, so a
-run is reproducible from the file alone.  One point evaluator,
-:func:`solve_point`, serves sweeps, steady points and comparisons; a solver
-that cannot produce a value there gives an empty field and a diagnostic.
+run is reproducible from the file alone.  One grid evaluator serves sweeps
+(:func:`run_sweep`), and on a grid of one point (:func:`solve_point`) steady
+points and comparisons.  It hands the whole grid to each solver in one call,
+so the Gaussian layer solves every point as one stack while the closed forms
+and the oracle take one point at a time.  A solver that cannot produce a
+value at a point gives an empty field and a diagnostic on that row alone.
 Steady points and comparisons print each layer by one :func:`layer_line`.
 """
 
@@ -288,6 +291,29 @@ def load_config(text: str) -> Config:
 
 _Outcome = tuple[float | None, float | None, str]
 
+# A solver failure: the package's own errors, SuperLU's, LinAlgError.  Any
+# other exception is a programming error and propagates.
+_SOLVER_ERRORS = (ArithmeticError, RuntimeError, ValueError)
+
+
+def _failure(exc: Exception) -> _Outcome:
+    """A point a solver failed on: no values, and the error as diagnostic."""
+    return None, None, f"{type(exc).__name__}: {exc}"
+
+
+def _each_point(solve):
+    """The grid form of the one-point solver ``solve(spec, oracle_config,
+    omega_b)``; a solver failure becomes its point's outcome."""
+    def solve_grid(points, oracle_config, omega_b) -> list[_Outcome]:
+        outcomes = []
+        for spec in points:
+            try:
+                outcomes.append(solve(spec, oracle_config, omega_b))
+            except _SOLVER_ERRORS as exc:
+                outcomes.append(_failure(exc))
+        return outcomes
+    return solve_grid
+
 
 def _solve_analytic(spec: SystemSpec, *_) -> _Outcome:
     # analytic.final_occupation's rate balance, on the rate already in hand.
@@ -300,13 +326,19 @@ def _solve_analytic_rwa(spec: SystemSpec, *_) -> _Outcome:
             "occupation-only formula (no rate)")
 
 
-def _solve_gaussian(spec: SystemSpec, *_) -> _Outcome:
-    model = gaussian.build_drift(spec)
-    n_f = gaussian.occupation(gaussian.steady_state(model), "a")
-    report = gaussian.stability(model)
-    # The slowest second moment decays at twice the slowest drift rate.
-    return (-2.0 * report.margin / TWO_PI, n_f,
-            f"drift spectrum; mechanical weight {report.mechanical_weight:.3f}")
+def _solve_gaussian(points: list[SystemSpec], *_) -> list[_Outcome]:
+    outcomes = []
+    for result in gaussian.steady_states(points):
+        if isinstance(result, _SOLVER_ERRORS):
+            outcomes.append(_failure(result))
+            continue
+        report, state = result
+        # The slowest second moment decays at twice the slowest drift rate.
+        outcomes.append((-2.0 * report.margin / TWO_PI,
+                         gaussian.occupation(state, "a"),
+                         f"drift spectrum; mechanical weight "
+                         f"{report.mechanical_weight:.3f}"))
+    return outcomes
 
 
 def _read_oracle(generator: fock.FockGenerator
@@ -336,14 +368,16 @@ def _solve_semiclassical(spec: SystemSpec, _config,
     return rate, n_f, "zero-floor rate balance"
 
 
-# Every solver is called as (point, oracle config, omega_b) and returns
-# (cooling rate, occupation, diagnostic), None where it has no value.
+# Every solver is called once per grid as (points, oracle config, omega_b)
+# and returns one (cooling rate, occupation, diagnostic) per point, None
+# where it has no value.  The Gaussian layer solves the grid as one stack;
+# the others are formulas or solves of one point each.
 _SOLVERS = {
-    "analytic": _solve_analytic,
-    "analytic-rwa": _solve_analytic_rwa,
+    "analytic": _each_point(_solve_analytic),
+    "analytic-rwa": _each_point(_solve_analytic_rwa),
     "gaussian": _solve_gaussian,
-    "oracle": _solve_oracle,
-    "semiclassical": _solve_semiclassical,
+    "oracle": _each_point(_solve_oracle),
+    "semiclassical": _each_point(_solve_semiclassical),
 }
 SOLVER_NAMES = tuple(_SOLVERS)
 # The drift spectrum's rate is the net decay of the slowest second moment,
@@ -364,10 +398,26 @@ def check_solvers(solvers: tuple[str, ...], oracle_config) -> None:
         raise ConfigError("the oracle solver requires an [oracle] section")
 
 
+def _solve_grid(points: list[SystemSpec], values: list[float],
+                solvers: tuple[str, ...],
+                oracle_config: fock.OracleConfig | None,
+                omega_b: float | None) -> list[SweepRow]:
+    """Every solver of ``solvers`` on every point, as the rows of the swept
+    ``values``; each solver takes the whole grid in one call."""
+    rows = [SweepRow(value, {}, {}, {}) for value in values]
+    for solver in solvers:
+        outcomes = _SOLVERS[solver](points, oracle_config, omega_b)
+        for row, outcome in zip(rows, outcomes, strict=True):
+            (row.rates[solver], row.occupations[solver],
+             row.diagnostics[solver]) = outcome
+    return rows
+
+
 def solve_point(spec: SystemSpec, solvers: tuple[str, ...],
                 oracle_config: fock.OracleConfig | None,
                 omega_b: float | None, value: float) -> SweepRow:
-    """Every solver of ``solvers`` at ``spec``, as the row of swept ``value``.
+    """Every solver of ``solvers`` at ``spec``, as the row of swept ``value``:
+    :func:`run_sweep`'s evaluator on a grid of one point.
 
     ``solvers`` must have passed :func:`check_solvers`.  A solver failure
     (``ArithmeticError``, ``RuntimeError`` or ``ValueError``: the package's
@@ -375,27 +425,24 @@ def solve_point(spec: SystemSpec, solvers: tuple[str, ...],
     never stops the other solvers; any other exception is a programming
     error and propagates.
     """
-    rates, occupations, diagnostics = {}, {}, {}
-    for solver in solvers:
-        try:
-            rates[solver], occupations[solver], diagnostics[solver] = (
-                _SOLVERS[solver](spec, oracle_config, omega_b))
-        except (ArithmeticError, RuntimeError, ValueError) as exc:
-            rates[solver] = None
-            occupations[solver] = None
-            diagnostics[solver] = f"{type(exc).__name__}: {exc}"
-    return SweepRow(value=value, rates=rates, occupations=occupations,
-                    diagnostics=diagnostics)
+    (row,) = _solve_grid([spec], [value], solvers, oracle_config, omega_b)
+    return row
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """:func:`solve_point` on every grid point, in grid order."""
+    """Every solver on every grid point, one row per point in grid order.
+
+    Each solver takes the whole grid in one call, and each row holds what
+    :func:`solve_point` gives at its point: a solver failure is its row's
+    diagnostic alone, and a programming error propagates.
+    """
     # The constructor runs SystemSpec's checks on every point; tolist()
     # gives the Python floats that the rows carry.
     base = vars(spec.base)
-    return [solve_point(SystemSpec(**{**base, spec.parameter: value}),
-                        spec.solvers, spec.oracle_config, spec.omega_b, value)
-            for value in spec.grid.tolist()]
+    values = spec.grid.tolist()
+    return _solve_grid([SystemSpec(**{**base, spec.parameter: value})
+                        for value in values], values, spec.solvers,
+                       spec.oracle_config, spec.omega_b)
 
 
 def layer_note(solver: str, diagnostic: str, rate: float | None) -> str:

@@ -208,7 +208,7 @@ def test_figure_on_which_every_row_failed_is_a_solver_error(tmp_path,
         raise ValueError("no value here")
 
     for solver in ("analytic", "analytic-rwa"):
-        monkeypatch.setitem(sweep._SOLVERS, solver, failing)
+        monkeypatch.setitem(sweep._SOLVERS, solver, sweep._each_point(failing))
     out = tmp_path / "fig2.csv"
     assert main(["fig2", "--out", str(out)]) == 2
     assert "ValueError: no value here" in out.read_text()
@@ -407,7 +407,7 @@ def test_programming_errors_are_not_solver_errors(tmp_path, monkeypatch):
     def broken(spec, oracle_config, omega_b):
         raise TypeError("a programming error, not a solver failure")
 
-    monkeypatch.setitem(sweep._SOLVERS, "analytic", broken)
+    monkeypatch.setitem(sweep._SOLVERS, "analytic", sweep._each_point(broken))
     config = write(tmp_path, "system.ini", SYSTEM_CONFIG)
     with pytest.raises(TypeError, match="programming error"):
         main(["steady", "--config", config, "--solvers", "analytic"])

@@ -113,15 +113,36 @@ def counted(monkeypatch, module, name):
 
 
 def test_sweep_point_computes_each_quantity_once(monkeypatch):
-    # One eig (the model's report), two eigvalsh (the diffusion's PSD check
-    # and the state's physicality verdict) and no kron: the rate, the
-    # Hurwitz check and the occupation share what they read.
+    # A point and a grid alike make one eig (the models' reports), one
+    # solve over the Hurwitz points, two eigvalsh (the diffusions' PSD
+    # check and the states' physicality verdicts) and no kron: the rate,
+    # the Hurwitz check and the occupation share what they read.  From red
+    # to blue detuning the blue points are not Hurwitz and stay out of the
+    # solve.
+    grid = np.linspace(-1.5, 1.5, 11) * BENCHMARK.omega_a
+    hurwitz = sum(stability(build_drift(replace(BENCHMARK, delta=delta))).hurwitz
+                  for delta in grid.tolist())
+    assert 0 < hurwitz < grid.size
     eig = counted(monkeypatch, np.linalg, "eig")
+    solve = counted(monkeypatch, np.linalg, "solve")
     eigvalsh = counted(monkeypatch, np.linalg, "eigvalsh")
     kron = counted(monkeypatch, np, "kron")
+
+    def stacks():
+        shapes = [[args[0].shape for args in calls]
+                  for calls in (eig, solve, eigvalsh, kron)]
+        for calls in (eig, solve, eigvalsh):
+            calls.clear()
+        return shapes
+
     row = sweep.solve_point(BENCHMARK, ("gaussian",), None, None, 0.0)
     assert row.occupations["gaussian"] is not None
-    assert (len(eig), len(eigvalsh), len(kron)) == (1, 2, 0)
+    assert stacks() == [[(1, 4, 4)], [(1, 16, 16)], [(1, 4, 4)] * 2, []]
+    rows = sweep.run_sweep(sweep.SweepSpec(
+        base=BENCHMARK, parameter="delta", grid=grid, solvers=("gaussian",)))
+    assert sum(r.occupations["gaussian"] is not None for r in rows) == hurwitz
+    assert stacks() == [[(11, 4, 4)], [(hurwitz, 16, 16)],
+                        [(11, 4, 4), (hurwitz, 4, 4)], []]
     model = build_drift(BENCHMARK)
     assert stability(model) is stability(model)
     for array in (model.drift, model.diffusion,

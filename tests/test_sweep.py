@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import re
@@ -433,11 +434,127 @@ def broken_solver(spec, oracle_config, omega_b):
 
 
 def test_run_sweep_propagates_programming_errors(monkeypatch):
-    monkeypatch.setitem(sweep._SOLVERS, "analytic", broken_solver)
+    monkeypatch.setitem(sweep._SOLVERS, "analytic",
+                        sweep._each_point(broken_solver))
     spec = SweepSpec(base=BENCHMARK, parameter="delta",
                      grid=np.array([-20e6]), solvers=("analytic",))
     with pytest.raises(TypeError, match="programming error"):
         run_sweep(spec)
+
+
+def test_run_sweep_propagates_programming_errors_from_a_stacked_step(
+        monkeypatch):
+    def broken(*args):
+        raise TypeError("a programming error, not a solver failure")
+
+    monkeypatch.setattr(np.linalg, "solve", broken)
+    spec = SweepSpec(base=BENCHMARK, parameter="delta",
+                     grid=np.array([-22e6, -20e6]), solvers=("gaussian",))
+    with pytest.raises(TypeError, match="programming error"):
+        run_sweep(spec)
+
+
+def _marked_eig(spec):
+    return gaussian.build_drift(spec).drift
+
+
+def _marked_solve(spec):
+    return gaussian._moment_operator(gaussian.build_drift(spec).drift)
+
+
+def _marked_eigvalsh(spec):
+    state = gaussian.steady_state(gaussian.build_drift(spec))
+    return state.covariance + 0.5j * gaussian.SYMPLECTIC_FORM
+
+
+@pytest.mark.parametrize("step, marked", [
+    ("eig", _marked_eig), ("solve", _marked_solve),
+    ("eigvalsh", _marked_eigvalsh),
+])
+def test_a_lapack_failure_fails_only_its_own_row(step, marked, monkeypatch):
+    # numpy refuses a whole stack when LAPACK fails on one of its matrices.
+    # The Gaussian layer then takes that step one point at a time, so only
+    # the failing point's row carries the error.
+    grid = np.linspace(-1.5, -0.5, 11) * BENCHMARK.omega_a
+    spec = SweepSpec(base=BENCHMARK, parameter="delta", grid=grid,
+                     solvers=("analytic", "gaussian"))
+    expected = run_sweep(spec)
+    matrix = marked(replace(BENCHMARK, delta=grid.tolist()[4]))
+    original = getattr(np.linalg, step)
+
+    def failing(stack, *args):
+        if any(np.array_equal(m, matrix) for m in stack):
+            raise np.linalg.LinAlgError("marked matrix")
+        return original(stack, *args)
+
+    monkeypatch.setattr(np.linalg, step, failing)
+    rows = run_sweep(spec)
+    assert rows[4].rates["gaussian"] is None
+    assert rows[4].occupations["gaussian"] is None
+    assert rows[4].diagnostics["gaussian"] == "LinAlgError: marked matrix"
+    assert rows[4].occupations["analytic"] == expected[4].occupations["analytic"]
+    assert rows[:4] + rows[5:] == expected[:4] + expected[5:]
+
+
+# SHA-256 of render_csv on three grids of the figure system, taken when each
+# Gaussian point was solved on its own: the stacked solve must give every
+# rate, occupation and diagnostic the same bits.  The second grid crosses to
+# blue detuning, where the drift stops being Hurwitz; the third passes
+# through the sideband's exceptional point g = (kappa0 - gamma0) / 4.
+_FIGURE_SOLVERS = ("analytic", "analytic-rwa", "gaussian", "semiclassical")
+_EXCEPTIONAL_G = (cli.FIGURE_BASE.kappa0 - cli.FIGURE_BASE.gamma0) / 4
+PINNED_SWEEPS = {
+    "detuning-sweep": (
+        "delta", np.linspace(-1.5, -0.5, 11) * cli.FIGURE_BASE.omega_a,
+        _FIGURE_SOLVERS,
+        "d5d7a29c8618fe2310f3bb4804bb3d5d058c35ac83bf32dff8dd0c43e05655fd"),
+    "red-to-blue": (
+        "delta", np.linspace(-1.5, 1.5, 201) * cli.FIGURE_BASE.omega_a,
+        ("analytic", "gaussian"),
+        "0198f167373f0680d5917fa725b5ca950090bb8c17daadc65949086156809434"),
+    "exceptional-point": (
+        "g", np.linspace(0.5, 1.5, 101) * _EXCEPTIONAL_G, _FIGURE_SOLVERS,
+        "d12763ebf872c6fa173d70e3198917479ca92fd16b9be40d8e7fef7f58990d9b"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SWEEPS)
+def test_sweep_bytes_are_pinned(name):
+    parameter, grid, solvers, digest = PINNED_SWEEPS[name]
+    if name == "exceptional-point":
+        assert _EXCEPTIONAL_G in grid
+    rows = run_sweep(SweepSpec(base=cli.FIGURE_BASE, parameter=parameter,
+                               grid=grid, solvers=solvers,
+                               omega_b=cli.FIGURE_OMEGA_B))
+    text = render_csv(rows, solvers)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if name == "red-to-blue":
+        notes = [row.diagnostics["gaussian"] for row in rows]
+        assert any(note.startswith("StabilityError: drift is not Hurwitz")
+                   for note in notes)
+        assert any(note.startswith("drift spectrum") for note in notes)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=st.floats(0.02, 0.25), gamma0=st.floats(0.005, 0.05),
+       kappa0=st.floats(0.1, 0.5), n_a0=st.floats(0.0, 3.0),
+       n_b0=st.floats(0.0, 0.5), red=st.floats(-1.5, -0.5),
+       blue=st.floats(0.5, 1.5), points=st.integers(2, 24),
+       omega_b=st.floats(10.0, 1000.0))
+def test_every_sweep_row_is_its_own_point(g, gamma0, kappa0, n_a0, n_b0, red,
+                                          blue, points, omega_b):
+    # The ranges of test_gaussian.random_spec, in units of omega_a, on a
+    # detuning grid from the red side to the blue one: a row of the stacked
+    # grid equals the same point solved alone, failures included.
+    base = SystemSpec(omega_a=1.0, delta=red, g=g, gamma0=gamma0,
+                      kappa0=kappa0, n_a0=n_a0, n_b0=n_b0)
+    spec = SweepSpec(base=base, parameter="delta",
+                     grid=np.linspace(red, blue, points),
+                     solvers=_FIGURE_SOLVERS, omega_b=omega_b)
+    for row in run_sweep(spec):
+        assert row == sweep.solve_point(replace(base, delta=row.value),
+                                        _FIGURE_SOLVERS, None, omega_b,
+                                        row.value)
 
 
 def test_run_sweep_gaussian_and_semiclassical():
@@ -770,8 +887,8 @@ def test_compare_reads_the_oracle_pair_as_the_table_oracle_does(scaled):
     config = fock.OracleConfig(dims=(8, 4))
     report = compare(scaled, config)
     for name, counter_rotating in (("oracle-full", True), ("oracle-rwa", False)):
-        _, n_f, note = sweep._SOLVERS["oracle"](
-            scaled, replace(config, include_counter_rotating=counter_rotating),
+        ((_, n_f, note),) = sweep._SOLVERS["oracle"](
+            [scaled], replace(config, include_counter_rotating=counter_rotating),
             None)
         assert report.notes[name] == note
         assert note.startswith("steady-state occupation only; tail_a=")
@@ -783,7 +900,7 @@ def test_compare_isolates_a_failing_layer(scaled, monkeypatch):
     def broken(spec, oracle_config, omega_b):
         raise RuntimeError("the drift solve broke")
 
-    monkeypatch.setitem(sweep._SOLVERS, "gaussian", broken)
+    monkeypatch.setitem(sweep._SOLVERS, "gaussian", sweep._each_point(broken))
     report = compare(scaled, fock.OracleConfig(dims=(8, 4)),
                      omega_b=cli.SCALED_OMEGA_B)
     assert "gaussian" not in report.occupations
@@ -797,7 +914,7 @@ def test_compare_reports_every_table_entry(scaled, monkeypatch):
     def constant(spec, oracle_config, omega_b):
         return 0.5, 0.25, "a constant layer"
 
-    monkeypatch.setitem(sweep._SOLVERS, "constant", constant)
+    monkeypatch.setitem(sweep._SOLVERS, "constant", sweep._each_point(constant))
     report = compare(scaled, fock.OracleConfig(dims=(8, 4)))
     assert report.occupations["constant"] == 0.25
     assert report.notes["constant"] == ("a constant layer; "
