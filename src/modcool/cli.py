@@ -140,17 +140,17 @@ def _figure_rows(solvers: tuple[str, ...], grid: np.ndarray,
                          solvers=solvers, omega_b=omega_b)
         rows = sweep.run_sweep(spec)
         tag = f"g{g / 1e6:g}MHz"
-        labels += [f"{solver}-{tag}" for solver in solvers]
+        pairs = [(solver, f"{solver}-{tag}") for solver in solvers]
+        labels += [label for _, label in pairs]
         if merged is None:
             merged = [sweep.SweepRow(value=row.value, rates={},
                                      occupations={}, diagnostics={})
                       for row in rows]
         for target, row in zip(merged, rows):
-            for solver in solvers:
-                key = f"{solver}-{tag}"
-                target.rates[key] = row.rates[solver]
-                target.occupations[key] = row.occupations[solver]
-                target.diagnostics[key] = row.diagnostics[solver]
+            for solver, label in pairs:
+                target.rates[label] = row.rates[solver]
+                target.occupations[label] = row.occupations[solver]
+                target.diagnostics[label] = row.diagnostics[solver]
     return merged, tuple(labels)
 
 

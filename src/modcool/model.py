@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.constants import h, hbar, k as k_B
+from math import isfinite
 
 # Largest zero-point-spread to gap ratio for which the first-order expansion
 # of the motion-dependent capacitance is trusted.
@@ -24,6 +23,12 @@ _MAX_DISPLACEMENT_RATIO = 0.01
 
 # The one Hz -> angular conversion factor of the package.
 TWO_PI = 2.0 * math.pi
+
+# Planck and Boltzmann constants in SI units, exact since the 2019 SI; the
+# same floats as scipy.constants, without its import.
+h = 6.62607015e-34
+hbar = h / TWO_PI
+k_B = 1.380649e-23
 
 
 def _si(unit: str, **kwargs):
@@ -201,7 +206,12 @@ class SystemSpec:
     n_b0: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(**vars(self))
+        # One pass over the fields; only a failure pays for the named check.
+        if not (isfinite(self.omega_a) and isfinite(self.delta)
+                and isfinite(self.g) and isfinite(self.gamma0)
+                and isfinite(self.kappa0) and isfinite(self.n_a0)
+                and isfinite(self.n_b0)):
+            _require_finite(**vars(self))
         if self.omega_a <= 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
         if self.g < 0:

@@ -460,8 +460,8 @@ def layer_line(solver: str, occupation: float | None, note: str) -> str:
             + (f"   [{note}]" if note else ""))
 
 
-def _format_value(value: float | None) -> str:
-    return "" if value is None else f"{value:.17e}"
+def _number_column(values: list[float | None]) -> list[str]:
+    return ["" if value is None else f"{value:.17e}" for value in values]
 
 
 def render_csv(rows: list[SweepRow], solvers: tuple[str, ...]) -> str:
@@ -469,26 +469,45 @@ def render_csv(rows: list[SweepRow], solvers: tuple[str, ...]) -> str:
 
     Columns: ``swept_value``, then ``gamma_c_<solver>`` and ``n_f_<solver>``
     per solver, then ``diag_<solver>`` per solver.  Missing values are empty
-    fields whose diagnostic column says why.  Numbers are full-precision
-    scientific notation, so identical inputs give byte-identical output.
+    fields whose diagnostic column says why.
+
+    The bytes are those of ``csv.writer(lineterminator="\\n")`` on the same
+    fields: numbers are ``%.17e`` text (full precision, so identical inputs
+    give byte-identical output), missing numbers are empty, text fields (the
+    header and the diagnostics) are quoted exactly as ``csv.writer`` quotes
+    them, and every line ends in ``"\\n"``.  A ``%.17e`` string holds no
+    delimiter, quote or line break, so only text goes through the writer,
+    each distinct text once.
     """
     if not rows:
         raise ValueError("cannot emit an empty sweep")
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
+    # Written alone, an empty field is the record '""'; inside a row it is
+    # empty, so it never goes through the one-field writer.
+    quoted = {"": ""}
+
+    def text(field: str) -> str:
+        if field not in quoted:
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow((field,))
+            quoted[field] = buffer.getvalue()[:-1]
+        return quoted[field]
+
     header = ["swept_value"]
     for solver in solvers:
         header += [f"gamma_c_{solver}", f"n_f_{solver}"]
     header += [f"diag_{solver}" for solver in solvers]
-    writer.writerow(header)
-    for row in rows:
-        record = [_format_value(row.value)]
-        for solver in solvers:
-            record += [_format_value(row.rates.get(solver)),
-                       _format_value(row.occupations.get(solver))]
-        record += [row.diagnostics.get(solver, "") for solver in solvers]
-        writer.writerow(record)
-    return buffer.getvalue()
+    columns = [_number_column([row.value for row in rows])]
+    for solver in solvers:
+        columns += [_number_column([row.rates.get(solver) for row in rows]),
+                    _number_column([row.occupations.get(solver)
+                                    for row in rows])]
+    columns += [[text(row.diagnostics.get(solver, "")) for row in rows]
+                for solver in solvers]
+    lines = [",".join(map(text, header)), *map(",".join, zip(*columns)), ""]
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

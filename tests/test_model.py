@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,10 +17,16 @@ from modcool import (
     effective_temperature,
     implied_mass,
     lc_frequency,
+    model,
     thermal_occupation,
 )
 
 from conftest import benchmark_circuit
+
+
+def test_si_constants_are_scipys():
+    # The exact 2019 SI values, and hbar = h / 2 pi, are scipy's floats.
+    assert (model.h, model.hbar, model.k_B) == (h, hbar, k_B)
 
 
 def test_thermal_occupation_reference_values():
@@ -215,10 +222,14 @@ VALID_MODE = ModeParams(frequency=20e6, damping=2e3, bath_occupation=20.0)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-@pytest.mark.parametrize("name", [f.name for f in fields(SystemSpec)])
-def test_system_spec_rejects_non_finite(name, value):
-    with pytest.raises(ValueError, match="must be finite"):
-        replace(VALID_SPEC, **{name: value})
+@pytest.mark.parametrize("names", [
+    *(pytest.param((f.name,), id=f.name) for f in fields(SystemSpec)),
+    # Two non-finite fields: the first in field order is named.
+    pytest.param(("g", "n_a0"), id="g+n_a0")])
+def test_system_spec_rejects_non_finite(names, value):
+    message = f"{names[0]} must be finite, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(VALID_SPEC, **dict.fromkeys(names, value))
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

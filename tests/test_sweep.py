@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import logging
 import math
 import re
@@ -500,39 +502,110 @@ def test_a_lapack_failure_fails_only_its_own_row(step, marked, monkeypatch):
 # Gaussian point was solved on its own: the stacked solve must give every
 # rate, occupation and diagnostic the same bits.  The second grid crosses to
 # blue detuning, where the drift stops being Hurwitz; the third passes
-# through the sideband's exceptional point g = (kappa0 - gamma0) / 4.
+# through the sideband's exceptional point g = (kappa0 - gamma0) / 4.  The
+# fourth, an oracle truncated to (3, 2) levels, pins the bytes of a quoted
+# field: its TruncationError diagnostics hold commas.
 _FIGURE_SOLVERS = ("analytic", "analytic-rwa", "gaussian", "semiclassical")
 _EXCEPTIONAL_G = (cli.FIGURE_BASE.kappa0 - cli.FIGURE_BASE.gamma0) / 4
+
+
+def _figure_sweep(parameter, grid, solvers):
+    return SweepSpec(base=cli.FIGURE_BASE, parameter=parameter, grid=grid,
+                     solvers=solvers, omega_b=cli.FIGURE_OMEGA_B)
+
+
 PINNED_SWEEPS = {
     "detuning-sweep": (
-        "delta", np.linspace(-1.5, -0.5, 11) * cli.FIGURE_BASE.omega_a,
-        _FIGURE_SOLVERS,
+        _figure_sweep("delta",
+                      np.linspace(-1.5, -0.5, 11) * cli.FIGURE_BASE.omega_a,
+                      _FIGURE_SOLVERS),
         "d5d7a29c8618fe2310f3bb4804bb3d5d058c35ac83bf32dff8dd0c43e05655fd"),
     "red-to-blue": (
-        "delta", np.linspace(-1.5, 1.5, 201) * cli.FIGURE_BASE.omega_a,
-        ("analytic", "gaussian"),
+        _figure_sweep("delta",
+                      np.linspace(-1.5, 1.5, 201) * cli.FIGURE_BASE.omega_a,
+                      ("analytic", "gaussian")),
         "0198f167373f0680d5917fa725b5ca950090bb8c17daadc65949086156809434"),
     "exceptional-point": (
-        "g", np.linspace(0.5, 1.5, 101) * _EXCEPTIONAL_G, _FIGURE_SOLVERS,
+        _figure_sweep("g", np.linspace(0.5, 1.5, 101) * _EXCEPTIONAL_G,
+                      _FIGURE_SOLVERS),
         "d12763ebf872c6fa173d70e3198917479ca92fd16b9be40d8e7fef7f58990d9b"),
+    "truncated-oracle": (
+        SweepSpec(base=cli.SCALED_BASE, parameter="delta",
+                  grid=np.linspace(-1.2, -0.8, 3),
+                  solvers=("analytic", "oracle"),
+                  oracle_config=fock.OracleConfig(dims=(3, 2))),
+        "c75881fd480009d34e164df0b324cbce3fc0e78c38df7e09db4f82cbd6fd262c"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_SWEEPS)
 def test_sweep_bytes_are_pinned(name):
-    parameter, grid, solvers, digest = PINNED_SWEEPS[name]
+    spec, digest = PINNED_SWEEPS[name]
     if name == "exceptional-point":
-        assert _EXCEPTIONAL_G in grid
-    rows = run_sweep(SweepSpec(base=cli.FIGURE_BASE, parameter=parameter,
-                               grid=grid, solvers=solvers,
-                               omega_b=cli.FIGURE_OMEGA_B))
-    text = render_csv(rows, solvers)
+        assert _EXCEPTIONAL_G in spec.grid
+    rows = run_sweep(spec)
+    text = render_csv(rows, spec.solvers)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     if name == "red-to-blue":
         notes = [row.diagnostics["gaussian"] for row in rows]
         assert any(note.startswith("StabilityError: drift is not Hurwitz")
                    for note in notes)
         assert any(note.startswith("drift spectrum") for note in notes)
+    if name == "truncated-oracle":
+        assert all(line.endswith('(threshold 1.0e-06); enlarge dims"')
+                   and ',"TruncationError: ' in line
+                   for line in text.splitlines()[1:])
+
+
+def _reference_csv(rows, solvers):
+    """The reference: csv.writer on every field of every row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = ["swept_value"]
+    for solver in solvers:
+        header += [f"gamma_c_{solver}", f"n_f_{solver}"]
+    header += [f"diag_{solver}" for solver in solvers]
+    writer.writerow(header)
+
+    def number(value):
+        return "" if value is None else f"{value:.17e}"
+
+    for row in rows:
+        record = [number(row.value)]
+        for solver in solvers:
+            record += [number(row.rates.get(solver)),
+                       number(row.occupations.get(solver))]
+        record += [row.diagnostics.get(solver, "") for solver in solvers]
+        writer.writerow(record)
+    return buffer.getvalue()
+
+
+# Every character csv.writer treats specially (a lone "\r" included), and
+# plain, blank and non-ASCII ones.
+_CSV_TEXT = st.text(alphabet=st.sampled_from(
+    [",", '"', "\n", "\r", " ", "a", "Z", "0", ";", "é", "Ω", "\u2028"]),
+    max_size=6)
+
+
+@st.composite
+def _sweep_rows(draw):
+    solvers = tuple(draw(st.lists(_CSV_TEXT.filter(bool), min_size=1,
+                                  max_size=4, unique=True)))
+    numbers = st.none() | st.floats()
+    rows = [sweep.SweepRow(
+        value=draw(st.floats()),
+        rates={solver: draw(numbers) for solver in solvers},
+        occupations={solver: draw(numbers) for solver in solvers},
+        diagnostics={solver: draw(_CSV_TEXT) for solver in solvers})
+        for _ in range(draw(st.integers(1, 5)))]
+    return rows, solvers
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_sweep_rows())
+def test_render_csv_is_csv_writers_bytes(case):
+    rows, solvers = case
+    assert render_csv(rows, solvers) == _reference_csv(rows, solvers)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
